@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .charsum import RestrictedSet, consecutive_l1_bound
-from .circle import ErrorBudget, PredictorParams, error_budget, main_term, predictor
-from .field import get_field
+from .circle import ErrorBudget, PredictorParams, error_budget, predictor
+from .field import digits, get_field
 from .polys import Poly, irreducible_polys
 
 DEFAULT_BUDGET = 10**8
@@ -69,14 +69,10 @@ def _census_chunk(args) -> int:
     comp = np.array(
         [c for c in field.elements() if c not in forbidden], dtype=np.int64
     )
-    m = len(comp)
-    idx = np.arange(start, stop, dtype=np.int64)
-    C = np.empty((len(idx), n + 1), dtype=np.int64)
-    for j in range(n):
-        C[:, j] = comp[(idx // m**j) % m]
-    C[:, n] = 1
+    C = np.ones((stop - start, n + 1), dtype=np.int64)
+    C[:, :n] = comp[digits(np.arange(start, stop, dtype=np.int64), len(comp), n)]
     if n == 1:
-        return len(idx)
+        return len(C)
     for d, bases, stacked in _stages(field, n):
         if field.k == 1:
             rem = (C @ stacked) % p
@@ -106,9 +102,10 @@ def count_restricted(
     R: RestrictedSet, n: int, workers: int = 1, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Exact number of irreducibles of degree n with no forbidden coefficient."""
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
     field = R.spec
-    m = field.q - R.s
-    total = m**n
+    total = (field.q - R.s) ** n
     if total > budget:
         raise BudgetError(
             f"{total} candidate polynomials exceed the budget of {budget}"
@@ -146,7 +143,6 @@ class CensusReport:
     n: int
     exact: int | None
     predictor: float
-    main_term: Fraction
     ratio: float | None
     lam: Fraction
     budget: ErrorBudget | None
@@ -215,7 +211,6 @@ def census_report(
         n=n,
         exact=exact,
         predictor=predictor(params),
-        main_term=main_term(params),
         ratio=ratio,
         lam=params.lam,
         budget=budget_rec,

@@ -20,6 +20,13 @@ from .polys import Poly, enumerate_monic, irreducible_polys, prime_count
 DEFAULT_S_BUDGET = 2_000_000
 
 
+def local_factor(q: int, s: int, zero_in_R: bool) -> Fraction:
+    """Lambda, the local correction at t: 1 when 0 is forbidden, else 1 - 1/(q - s)."""
+    if zero_in_R:
+        return Fraction(1)
+    return 1 - Fraction(1, q - s)
+
+
 @dataclass(frozen=True)
 class RestrictedSet:
     """A forbidden coefficient set R inside F_q."""
@@ -59,10 +66,7 @@ class RestrictedSet:
 
     @property
     def lam(self) -> Fraction:
-        """Local correction at t: 1 when 0 is forbidden, else 1 - 1/(q - s)."""
-        if self.zero_in_R:
-            return Fraction(1)
-        return 1 - Fraction(1, self.spec.q - self.s)
+        return local_factor(self.spec.q, self.s, self.zero_in_R)
 
     @property
     def is_consecutive(self) -> bool:
@@ -96,22 +100,16 @@ class FourierProfile:
 
 def fourier_profile(R: RestrictedSet) -> FourierProfile:
     """Fourier coefficients of the allowed set R^c, plus their normalized L1 mass."""
-    spec = R.spec
-    comp = R.complement
-    values = tuple(fourier_indicator(spec, comp, r) for r in spec.elements())
-    return FourierProfile(values, sum(abs(v) for v in values) / spec.q)
+    values = digit_weights(R)
+    return FourierProfile(values, sum(abs(v) for v in values) / R.spec.q)
 
 
 @lru_cache(maxsize=None)
-def _digit_weights(R: RestrictedSet) -> tuple:
+def digit_weights(R: RestrictedSet) -> tuple:
     """W[d] = sum_{c allowed} psi(c * d); one digit's factor in the product formula."""
     spec = R.spec
     comp = R.complement
     return tuple(fourier_indicator(spec, comp, d) for d in spec.elements())
-
-
-def digit_weights(R: RestrictedSet) -> tuple:
-    return _digit_weights(R)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +119,7 @@ def s_r_at(R: RestrictedSet, n: int, window) -> complex:
     """S_R(x) from the digit-product formula, given x_{-1}..x_{-n-1}."""
     if len(window) < n + 1:
         raise ValueError(f"window of length {len(window)} too short for degree {n}")
-    W = _digit_weights(R)
+    W = digit_weights(R)
     value = R.spec.psi(window[n])  # the monic leading term
     for i in range(n):
         value *= W[window[i]]
@@ -138,14 +136,8 @@ def _irreducible_coeffs(spec: FieldSpec, n: int) -> tuple:
     return tuple(f.coeffs for f in irreducible_polys(spec, n))
 
 
-def s_at(spec: FieldSpec, n: int, x: RationalPoint, budget: int = DEFAULT_S_BUDGET) -> complex:
-    """S(x): the character sum over all monic irreducibles of degree n."""
-    count = prime_count(spec, n)
-    if count > budget:
-        warnings.warn(f"S(x) enumeration over {count} irreducibles exceeds budget {budget}")
-    if x.is_zero:
-        return complex(count)
-    window = frac_digits(x, n + 1)
+def s_at_window(spec: FieldSpec, n: int, window) -> complex:
+    """S(x) from its digit window x_{-1}..x_{-n-1}, as `frac_digits` returns it."""
     psi = spec.psi
     mul = spec.mul
     add = spec.add
@@ -159,6 +151,16 @@ def s_at(spec: FieldSpec, n: int, x: RationalPoint, budget: int = DEFAULT_S_BUDG
     return total
 
 
+def s_at(spec: FieldSpec, n: int, x: RationalPoint, budget: int = DEFAULT_S_BUDGET) -> complex:
+    """S(x): the character sum over all monic irreducibles of degree n."""
+    count = prime_count(spec, n)
+    if count > budget:
+        warnings.warn(f"S(x) enumeration over {count} irreducibles exceeds budget {budget}")
+    if x.is_zero:
+        return complex(count)
+    return s_at_window(spec, n, frac_digits(x, n + 1))
+
+
 # ---------------------------------------------------------------------------
 # averaged and pointwise bounds
 
@@ -170,7 +172,7 @@ def l1_average_closed_form(R: RestrictedSet, n: int) -> float:
 def l1_average_direct(R: RestrictedSet, n: int) -> float:
     """Average of |S_R(a/t^n)| over all q^n discretization points; the oracle."""
     spec = R.spec
-    absW = [abs(w) for w in _digit_weights(R)]
+    absW = [abs(w) for w in digit_weights(R)]
     total = 0.0
     for digits in product(spec.elements(), repeat=n):
         value = 1.0

@@ -30,7 +30,7 @@ from .circle import (
     lemma5_ratio,
     orthogonality_count,
 )
-from .field import get_field
+from .field import get_field, prime_power
 from .laurent import RationalPoint, frac_digits
 from .polys import Poly, enumerate_monic, prime_count
 
@@ -138,7 +138,7 @@ def check_pnt(
     started = time.perf_counter()
     rec = _Recorder()
     for q in enum_qs:
-        field = get_field(*_pk(q))
+        field = get_field(*prime_power(q))
         empty = RestrictedSet(field, frozenset())
         for n in range(1, enum_n_max + 1):
             formula = prime_count(q, n)
@@ -170,7 +170,7 @@ def check_identity(workers=1):
     rec = _Recorder()
     grid = []
     for q in (2, 3):
-        field = get_field(*_pk(q))
+        field = get_field(*prime_power(q))
         sets = list(_subsets(field, range(0, min(2, q - 1) + 1)))
         grid.extend((field, R, n) for R in sets for n in range(1, 5))
     field5 = get_field(5)
@@ -205,7 +205,7 @@ def check_lemma2(qs=(2, 3, 5, 7), n_max=4, tol=1e-9):
     started = time.perf_counter()
     rec = _Recorder()
     for q in qs:
-        field = get_field(*_pk(q))
+        field = get_field(*prime_power(q))
         max_s = 3 if q == 7 else q - 1
         for forb in _subsets(field, range(1, max_s + 1)):
             R = RestrictedSet(field, forb)
@@ -232,7 +232,7 @@ def check_corollary1(qs=(2, 3, 5, 7), n_max=3, tol=1e-9):
     started = time.perf_counter()
     rec = _Recorder()
     for q in qs:
-        field = get_field(*_pk(q))
+        field = get_field(*prime_power(q))
         for forb in _subsets(field, range(1, q)):
             R = RestrictedSet(field, forb)
             s = len(forb)
@@ -307,7 +307,7 @@ def check_lemma3(qs=(3, 5), n_max=9):
     started = time.perf_counter()
     rec = _Recorder()
     for q in qs:
-        field = get_field(*_pk(q))
+        field = get_field(*prime_power(q))
         sets = list(_subsets(field, range(1, q // 2 + 1)))
         _pointwise_bound_check(rec, field, sets, n_max, lemma3_bound)
     return rec.result("lemma3", {"qs": list(qs), "n_max": n_max, "d_max": 3}, started)
@@ -337,7 +337,7 @@ def check_lemma4(qs=(3, 5), ds=(1, 2), ns=(4, 6, 8)):
     rec = _Recorder()
     n_max = max(ns)
     for q in qs:
-        field = get_field(*_pk(q))
+        field = get_field(*prime_power(q))
         sets = list(_subsets(field, range(0, 3)))
         for d in ds:
             points, windows, _ = _farey_windows(field, 0, d, n_max, False)
@@ -372,7 +372,7 @@ def check_lemma1(q=3, ns=(4, 6)):
     """Square-root cancellation at every arc center, with and without an offset."""
     started = time.perf_counter()
     rec = _Recorder()
-    field = get_field(*_pk(q))
+    field = get_field(*prime_power(q))
     for n in ns:
         half_up = (n + 1) // 2
         for x in farey_enumerate(field, n // 2):
@@ -403,7 +403,7 @@ def check_lemma5(qs=(2, 3), d_max=6):
     started = time.perf_counter()
     rec = _Recorder()
     for q in qs:
-        field = get_field(*_pk(q))
+        field = get_field(*prime_power(q))
         for d in range(1, d_max + 1):
             for g in enumerate_monic(field, d):
                 ratio, bound = lemma5_ratio(g)
@@ -420,7 +420,7 @@ def check_partition(cases=((2, 2), (2, 4), (3, 2), (3, 4))):
     started = time.perf_counter()
     rec = _Recorder()
     for q, n in cases:
-        field = get_field(*_pk(q))
+        field = get_field(*prime_power(q))
         ok = arc_partition_check(field, n)
         rec.record(ok, 0.0 if ok else 1.0, {"q": q, "n": n, "lhs": ok, "rhs": True})
     return rec.result("partition", {"cases": [list(c) for c in cases]}, started)
@@ -462,22 +462,6 @@ def check_theorem_trend(workers=1, budget=10**8):
         started,
     )
     return result
-
-
-def _pk(q):
-    """(p, k) for a prime power; modulus defaults apply for k > 1."""
-    p = q
-    for f in range(2, q):
-        if f * f > q:
-            break
-        if q % f == 0:
-            p = f
-            break
-    k = 0
-    while q % p == 0 and q > 1:
-        q //= p
-        k += 1
-    return p, k
 
 
 CHECKS = {

@@ -10,8 +10,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charsum import RestrictedSet, _digit_weights, _irreducible_coeffs, s_at
-from .field import FieldSpec, get_field
+from .charsum import RestrictedSet, local_factor, s_at, s_at_window, s_r_at
+from .field import FieldSpec, digits, get_field
 from .laurent import RationalPoint, e_q_of
 from .polys import Poly, euler_phi, mobius, poly_gcd, prime_count
 
@@ -39,12 +39,7 @@ def _polys_below_degree(field: FieldSpec, d: int):
     """All polynomials of degree < d, by ascending code."""
     q = field.q
     for v in range(q**d):
-        coeffs = []
-        w = v
-        for _ in range(d):
-            coeffs.append(w % q)
-            w //= q
-        yield Poly(field, coeffs)
+        yield Poly(field, digits(v, q, d))
 
 
 def farey_enumerate(field: FieldSpec, d_max: int):
@@ -156,6 +151,8 @@ class PredictorParams:
     def __post_init__(self):
         if not 0 <= self.s < self.q:
             raise ValueError("need 0 <= s < q")
+        if self.n < 1:
+            raise ValueError(f"degree must be >= 1, got {self.n}")
 
     @classmethod
     def from_restricted(cls, R: RestrictedSet, n: int) -> "PredictorParams":
@@ -163,9 +160,7 @@ class PredictorParams:
 
     @property
     def lam(self) -> Fraction:
-        if self.zero_in_R:
-            return Fraction(1)
-        return 1 - Fraction(1, self.q - self.s)
+        return local_factor(self.q, self.s, self.zero_in_R)
 
     @property
     def flagged(self) -> bool:
@@ -184,8 +179,11 @@ def main_term(P: PredictorParams) -> Fraction:
 
 
 def predictor(P: PredictorParams) -> float:
-    """(q/(q-1)) * (q-s)^n / n * Lambda."""
-    return float(Fraction(P.q, P.q - 1) * Fraction((P.q - P.s) ** P.n, P.n) * P.lam)
+    """(q/(q-1)) * (q-s)^n / n * Lambda; inf past the float range."""
+    try:
+        return float(Fraction(P.q, P.q - 1) * Fraction((P.q - P.s) ** P.n, P.n) * P.lam)
+    except OverflowError:
+        return math.inf
 
 
 def _safe_exp(x: float) -> float:
@@ -243,33 +241,10 @@ def _orth_chunk(args):
     p, k, modulus, forbidden, n, start, stop = args
     field = get_field(p, k, modulus)
     R = RestrictedSet(field, frozenset(forbidden))
-    W = _digit_weights(R)
-    irr = _irreducible_coeffs(field, n)
-    psi = field.psi
-    mul = field.mul
-    add = field.add
-    q = field.q
-    m = n + 1
     total = 0j
     for v in range(start, stop):
-        # digits of the numerator a; window[j] = a_{m-1-j}
-        coeffs = []
-        w = v
-        for _ in range(m):
-            coeffs.append(w % q)
-            w //= q
-        window = coeffs[::-1]
-        s_val = 0j
-        for hc in irr:
-            acc = 0
-            for hj, xj in zip(hc, window):
-                if hj:
-                    acc = add(acc, mul(hj, xj))
-            s_val += psi(acc)
-        sr = psi(window[n])
-        for i in range(n):
-            sr *= W[window[i]]
-        total += s_val * sr.conjugate()
+        window = digits(v, field.q, n + 1)[::-1]  # window[j] = a_{n-j}
+        total += s_at_window(field, n, window) * s_r_at(R, n, window).conjugate()
     return total
 
 

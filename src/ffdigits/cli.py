@@ -52,11 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_BUDGET,
         help="max polynomial tests per census invocation",
     )
-    common.add_argument(
-        "--seedless",
-        action="store_true",
-        help="use only counter-derived trial elements (always on; kept for scripts)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="ffdigits",
@@ -118,11 +113,10 @@ def _cmd_count(args) -> int:
 
 def _cmd_predict(args) -> int:
     R = _restricted_from_args(args)
-    value = predictor(PredictorParams.from_restricted(R, args.n))
     params = PredictorParams.from_restricted(R, args.n)
     if params.flagged:
         print(f"note: s={params.s} exceeds sqrt(q)/2; prediction is extrapolated", file=sys.stderr)
-    print(f"{value:.6g}")
+    print(f"{predictor(params):.6g}")
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ integers double as field elements.  All operations keep elements fully reduced.
 from __future__ import annotations
 
 import cmath
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -34,70 +35,48 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Small helpers on F_p coefficient lists, used only to pick/validate the
-# defining modulus of an extension field (before FieldSpec exists).
-
-def _fp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_mod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        c = a[-1]
-        if c:
-            for j in range(dm):
-                a[len(a) - 1 - dm + j] = (a[len(a) - 1 - dm + j] - c * m[j]) % p
-        a.pop()
-    return _fp_trim(a)
-
-
-def _fp_monic_polys(p, d):
-    """All monic F_p coefficient lists of degree d, lexicographic in the code."""
-    for v in range(p**d):
-        coeffs = []
-        w = v
-        for _ in range(d):
-            coeffs.append(w % p)
+def prime_power(q: int) -> tuple:
+    """(p, k) with q = p^k; FieldError if q is not a prime power."""
+    if q >= 2:
+        p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+        k, w = 0, q
+        while w % p == 0:
             w //= p
-        coeffs.append(1)
-        yield coeffs
+            k += 1
+        if w == 1:
+            return p, k
+    raise FieldError(f"{q} is not a prime power")
 
 
-def _fp_irreducible(m, p):
-    """Trial-division irreducibility of a monic F_p polynomial."""
-    d = len(m) - 1
-    if d < 1:
-        return False
-    for e in range(1, d // 2 + 1):
-        for g in _fp_monic_polys(p, e):
-            if not _fp_mod(m, g, p):
-                return False
-    return True
+def digits(value, base: int, width: int):
+    """The `width` base-`base` digits of `value`, least significant first.
+
+    An int gives a tuple of ints; an int64 array of shape S gives an int64
+    array of shape S + (width,).
+    """
+    if isinstance(value, np.ndarray):
+        return (value[..., None] // base ** np.arange(width, dtype=np.int64)) % base
+    out = []
+    for _ in range(width):
+        value, d = divmod(value, base)
+        out.append(d)
+    return tuple(out)
+
+
+def _irreducible_over_prime_field(modulus: tuple, p: int) -> bool:
+    from .polys import Poly, is_irreducible
+
+    return is_irreducible(Poly(get_field(p), modulus))
 
 
 @lru_cache(maxsize=None)
 def default_modulus(p: int, k: int) -> tuple:
-    """Lexicographically smallest (by element code) monic irreducible of degree k over F_p."""
-    for m in _fp_monic_polys(p, k):
-        if _fp_irreducible(m, p):
-            return tuple(m)
+    """The monic irreducible of degree k over F_p that is smallest by element
+    code, constant term least significant."""
+    for v in range(p**k):
+        modulus = digits(v, p, k) + (1,)
+        if _irreducible_over_prime_field(modulus, p):
+            return modulus
     raise FieldError(f"no irreducible modulus of degree {k} over F_{p}")  # unreachable
 
 
@@ -124,7 +103,7 @@ class FieldSpec:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise FieldError("modulus must be monic of degree k")
-            if not _fp_irreducible(list(modulus), p):
+            if not _irreducible_over_prime_field(modulus, p):
                 raise FieldError("modulus is reducible over the prime field")
             self.modulus = modulus
         self._mul_table = None
@@ -171,22 +150,7 @@ class FieldSpec:
     @classmethod
     def from_q(cls, q: int, modulus=None) -> "FieldSpec":
         """Build F_q from the prime power q alone."""
-        if q < 2:
-            raise FieldError(f"{q} is not a prime power")
-        p = q
-        for f in range(2, q):
-            if f * f > q:
-                break
-            if q % f == 0:
-                p = f
-                break
-        k = 0
-        w = q
-        while w % p == 0 and w > 1:
-            w //= p
-            k += 1
-        if w != 1 or p**k != q:
-            raise FieldError(f"{q} is not a prime power")
+        p, k = prime_power(q)
         return cls(p, k, modulus)
 
     # -- element coding ------------------------------------------------------
@@ -197,11 +161,7 @@ class FieldSpec:
     def coords(self, a: int) -> tuple:
         """Polynomial-basis coordinates (c_0, ..., c_{k-1}) of an element code."""
         self._check(a)
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return digits(a, self.p, self.k)
 
     def encode(self, coords) -> int:
         a = 0
@@ -292,40 +252,37 @@ class FieldSpec:
             self._psi_table = [roots[self.trace(x)] for x in self.elements()]
         return self._psi_table[a]
 
-    # -- dense op tables (extension fields; also reused by the census) -------
+    # -- dense op tables (also reused by the census) -------------------------
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        prod = _fp_mul(list(self.coords(a)), list(self.coords(b)), self.p)
-        return self.encode(_fp_mod(prod, list(self.modulus), self.p))
+    # Multiplication by t and addition are F_p-linear on coordinates, so both
+    # tables are built from the coordinate array of all q elements.
 
     @property
     def mul_table(self) -> np.ndarray:
         if self._mul_table is None:
-            q = self.q
-            t = np.zeros((q, q), dtype=np.int64)
-            for a in range(1, q):
-                for b in range(a, q):
-                    v = self._raw_mul(a, b)
-                    t[a, b] = v
-                    t[b, a] = v
-            self._mul_table = t
+            p, k = self.p, self.k
+            C = digits(np.arange(self.q, dtype=np.int64), p, k)
+            # shifted[i][a] holds the coordinates of t^i * a; shifting by one
+            # replaces c_{k-1} t^k with -c_{k-1} (m_0 + ... + m_{k-1} t^{k-1}).
+            shifted = [C]
+            for _ in range(k - 1):
+                last = shifted[-1]
+                up = np.zeros_like(last)
+                up[:, 1:] = last[:, :-1]
+                shifted.append((up - last[:, -1:] * np.array(self.modulus[:k])) % p)
+            X = np.stack(shifted)
+            # a * b = sum_i b_i (t^i * a), one coordinate j at a time
+            self._mul_table = sum(p**j * ((C @ X[:, :, j]) % p) for j in range(k))
         return self._mul_table
 
     @property
     def add_table(self) -> np.ndarray:
         if self._add_table is None:
-            q = self.q
-            if self.p == 2:
-                codes = np.arange(q, dtype=np.int64)
-                self._add_table = codes[:, None] ^ codes[None, :]
-            else:
-                t = np.zeros((q, q), dtype=np.int64)
-                for a in range(q):
-                    ca = self.coords(a)
-                    for b in range(q):
-                        cb = self.coords(b)
-                        t[a, b] = self.encode((x + y) % self.p for x, y in zip(ca, cb))
-                self._add_table = t
+            p = self.p
+            C = digits(np.arange(self.q, dtype=np.int64), p, self.k)
+            self._add_table = sum(
+                p**j * ((C[:, None, j] + C[None, :, j]) % p) for j in range(self.k)
+            )
         return self._add_table
 
     @property

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .field import FieldError, FieldSpec
+from .field import FieldError, FieldSpec, digits
 
 
 class Poly:
@@ -298,15 +298,6 @@ def _pth_root(f: Poly) -> Poly:
     return Poly(F, (F.pow(f[i * F.p], e) for i in range(f.degree // F.p + 1)))
 
 
-def _trial_poly(field, counter: int) -> Poly:
-    digits = []
-    w = counter
-    while w:
-        digits.append(w % field.q)
-        w //= field.q
-    return Poly(field, digits)
-
-
 def _equal_degree_split(f: Poly, d: int) -> list:
     """Split a monic product of distinct degree-d irreducibles.
 
@@ -318,7 +309,8 @@ def _equal_degree_split(f: Poly, d: int) -> list:
     one = Poly.one(F)
     counter = F.q  # first trial of degree >= 1
     while True:
-        r = _trial_poly(F, counter) % f
+        # the polynomial with code `counter`; it has at most bit_length digits
+        r = Poly(F, digits(counter, F.q, counter.bit_length())) % f
         counter += 1
         if r.degree < 1:
             continue

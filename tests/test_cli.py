@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from ffdigits.census import count_restricted
+from ffdigits.charsum import RestrictedSet
+from ffdigits.circle import PredictorParams
 from ffdigits.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -10,6 +13,7 @@ from ffdigits.cli import (
     build_parser,
     main,
 )
+from ffdigits.field import get_field
 
 
 def run(capsys, *argv):
@@ -130,14 +134,36 @@ def test_workers_env(capsys, monkeypatch):
     assert out == out2
 
 
-def test_seedless_is_accepted(capsys):
-    code, out, _ = run(capsys, "count", "--q", "2", "--forbid", "0", "--n", "2", "--seedless")
-    assert code == EXIT_OK
-    assert out.strip() == "1"
-
-
 def test_parser_subcommands():
     parser = build_parser()
     args = parser.parse_args(["scan", "--q", "5", "--n", "2:6"])
     assert args.command == "scan"
     assert args.budget > 0
+
+
+def test_bad_degrees_exit_usage(capsys):
+    for argv in (
+        ("count", "--q", "3", "--n", "-1"),
+        ("predict", "--q", "3", "--n", "0"),
+        ("scan", "--q", "3", "--n", "0:2"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert "degree" in err
+    code, out, _ = run(capsys, "count", "--q", "3", "--n", "0")
+    assert code == EXIT_OK
+    assert out.strip() == "0"
+
+
+def test_degree_validation_in_library():
+    R = RestrictedSet.of(get_field(3), 0)
+    with pytest.raises(ValueError):
+        count_restricted(R, -1)
+    with pytest.raises(ValueError):
+        PredictorParams(3, 1, 0, True)
+
+
+def test_predict_past_float_range(capsys):
+    code, out, _ = run(capsys, "predict", "--q", "17", "--forbid", "0", "--n", "2000")
+    assert code == EXIT_OK
+    assert out.strip() == "inf"

@@ -1,9 +1,11 @@
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ffdigits.field import FieldError, FieldSpec, get_field
+from ffdigits.field import FieldError, FieldSpec, digits, get_field
+from ffdigits.polys import Poly, pow_mod
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -142,3 +144,48 @@ def test_coords_encode_round_trip():
 def test_psi_unit_modulus():
     for a in F9.elements():
         assert abs(abs(F9.psi(a)) - 1) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "q, modulus",
+    [
+        (8, (1, 1, 0, 1)),
+        (9, (1, 0, 1)),
+        (16, (1, 1, 0, 0, 1)),
+        (25, (2, 0, 1)),
+        (27, (1, 2, 0, 1)),
+        (81, (2, 1, 0, 0, 1)),
+    ],
+)
+def test_default_modulus_pinned(q, modulus):
+    # the modulus fixes every element code, so it must never drift
+    assert FieldSpec.from_q(q).modulus == modulus
+
+
+def test_digits_int_and_array_agree():
+    assert digits(11, 3, 4) == (2, 0, 1, 0)
+    values = np.arange(81, dtype=np.int64)
+    assert digits(values, 3, 4).tolist() == [list(digits(v, 3, 4)) for v in range(81)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 81])
+def test_op_tables_match_polynomial_arithmetic(q):
+    field = FieldSpec.from_q(q)
+    Fp = get_field(field.p)
+    m = Poly(Fp, field.modulus or (0, 1))  # prime fields reduce mod t
+    elems = [Poly(Fp, field.coords(a)) for a in field.elements()]
+
+    def code(f):
+        return field.encode(f.coeffs)
+
+    mul = np.array([[code(x * y % m) for y in elems] for x in elems])
+    add = np.array([[code(x + y) for y in elems] for x in elems])
+    inv = [0] + [int(np.flatnonzero(mul[a] == 1)[0]) for a in range(1, q)]
+    trace = [
+        code(sum((pow_mod(x, field.p**i, m) for i in range(field.k)), Poly.zero(Fp)))
+        for x in elems
+    ]
+    assert field.mul_table.tolist() == mul.tolist()
+    assert field.add_table.tolist() == add.tolist()
+    assert field.inv_table.tolist() == inv
+    assert field.trace_table.tolist() == trace
