@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,10 +21,12 @@ import numpy as np
 from .charsum import RestrictedSet, consecutive_l1_bound
 from .circle import ErrorBudget, PredictorParams, error_budget, predictor
 from .field import digits, get_field
-from .polys import Poly, irreducible_polys
+from .polys import irreducible_polys, remainder_basis
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15
+# Candidate indices are decoded in int64, so there must be fewer than 2^63.
+_DECODE_LIMIT = 1 << 63
 
 
 class BudgetError(RuntimeError):
@@ -36,18 +39,6 @@ class BudgetError(RuntimeError):
 _stage_cache: dict = {}
 
 
-def _basis_columns(g: Poly, n: int) -> np.ndarray:
-    """Coefficient matrix of t^j mod g for j = 0..n, shape (n+1, deg g)."""
-    field = g.field
-    d = g.degree
-    rows = []
-    r = Poly.one(field)
-    for _ in range(n + 1):
-        rows.append([r[i] for i in range(d)])
-        r = r.shift(1) % g
-    return np.array(rows, dtype=np.int64)
-
-
 def _stages(field, n: int):
     """Per degree d <= n/2: the stacked remainder bases of all irreducibles of degree d."""
     key = (field, n)
@@ -56,7 +47,7 @@ def _stages(field, n: int):
         got = []
         for d in range(1, n // 2 + 1):
             polys = irreducible_polys(field, d)
-            bases = [_basis_columns(g, n) for g in polys]
+            bases = [remainder_basis(g, n) for g in polys]
             stacked = np.concatenate(bases, axis=1) if bases else None
             got.append((d, bases, stacked))
         _stage_cache[key] = got
@@ -110,9 +101,13 @@ def count_restricted(
         raise BudgetError(
             f"{total} candidate polynomials exceed the budget of {budget}"
         )
+    if total >= _DECODE_LIMIT:
+        raise BudgetError(
+            f"{total} candidate polynomials exceed the int64 decode limit of 2^63"
+        )
     if n == 0:
         return 0
-    chunks = [
+    chunks = (
         (
             field.p,
             field.k,
@@ -123,13 +118,24 @@ def count_restricted(
             min(lo + _CHUNK, total),
         )
         for lo in range(0, total, _CHUNK)
-    ]
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_census_chunk, chunks))
-    else:
-        counts = [_census_chunk(c) for c in chunks]
-    return sum(counts)
+    )
+    if workers > 1 and total > _CHUNK:
+        return _pool_count(chunks, workers)
+    return sum(_census_chunk(c) for c in chunks)
+
+
+def _pool_count(chunks, workers: int) -> int:
+    """Sum of chunk counts, at most 2 * workers chunks in flight, read in chunk order."""
+    count = 0
+    pending = deque()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for c in chunks:
+            pending.append(pool.submit(_census_chunk, c))
+            if len(pending) >= 2 * workers:
+                count += pending.popleft().result()
+        while pending:
+            count += pending.popleft().result()
+    return count
 
 
 # ---------------------------------------------------------------------------

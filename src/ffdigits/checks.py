@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -26,12 +25,13 @@ from .charsum import (
 from .circle import (
     arc_partition_check,
     farey_enumerate,
+    farey_windows,
     lemma1_error,
     lemma5_ratio,
     orthogonality_count,
 )
 from .field import get_field, prime_power
-from .laurent import RationalPoint, frac_digits
+from .laurent import RationalPoint
 from .polys import Poly, enumerate_monic, prime_count
 
 MAX_WITNESSES = 10
@@ -98,25 +98,6 @@ def _consecutive_sets(field):
     for start in range(p):
         for size in range(1, p):
             yield frozenset((start + j) % p for j in range(size))
-
-
-@lru_cache(maxsize=None)
-def _farey_windows(field, d_min, d_max, m, exclude_t_powers):
-    """Rational points with d_min <= deg g <= d_max plus their digit windows."""
-    points = []
-    for x in farey_enumerate(field, d_max):
-        d = x.g.degree
-        if d < d_min:
-            continue
-        if exclude_t_powers and all(c == 0 for c in x.g.coeffs[:-1]):
-            continue
-        points.append(x)
-    if points:
-        windows = np.array([frac_digits(x, m) for x in points], dtype=np.int64)
-    else:
-        windows = np.empty((0, m), dtype=np.int64)
-    degs = np.array([x.g.degree for x in points], dtype=np.int64)
-    return points, windows, degs
 
 
 def _point_label(x: RationalPoint) -> str:
@@ -273,18 +254,23 @@ def check_corollary2(ps=(3, 5, 7), n_max=4, tol=1e-9):
 
 
 def _pointwise_bound_check(rec, field, sets, n_max, bound_fn):
-    """Shared driver for the pointwise |S_R(a/g)| bounds (denominator not t^d)."""
-    m = n_max
-    points, windows, degs = _farey_windows(field, 1, 3, m, True)
+    """Shared driver for the pointwise |S_R(a/g)| bounds (denominator not t^d).
+
+    The bound depends on the point only through deg g, so it is evaluated once
+    per degree and indexed per point.
+    """
+    fw = farey_windows(field, 1, 3, n_max, exclude_t_powers=True)
     q = field.q
+    uniq_degs, deg_index = np.unique(fw.degs, return_inverse=True)
     for forb in sets:
         R = RestrictedSet(field, forb)
         s = len(forb)
         absW = np.abs(np.array(digit_weights(R)))
-        prods = np.cumprod(absW[windows], axis=1)  # column n-1 holds |S_R| at degree n
+        prods = np.cumprod(absW[fw.windows], axis=1)  # column n-1 holds |S_R| at degree n
         for n in range(1, n_max + 1):
             lhs = prods[:, n - 1]
-            rhs = np.array([bound_fn(q, s, n, int(d)) for d in degs], dtype=float)
+            per_deg = [bound_fn(q, s, n, int(d)) for d in uniq_degs]
+            rhs = np.array(per_deg, dtype=float)[deg_index]
             bad = lhs > rhs * (1 + 1e-9) + 1e-9
             for i in np.nonzero(bad)[0][:MAX_WITNESSES]:
                 rec.record(
@@ -294,12 +280,12 @@ def _pointwise_bound_check(rec, field, sets, n_max, bound_fn):
                         "q": q,
                         "forbidden": sorted(forb),
                         "n": n,
-                        "point": _point_label(points[i]),
+                        "point": _point_label(fw.point(i)),
                         "lhs": float(lhs[i]),
                         "rhs": float(rhs[i]),
                     },
                 )
-            rec.cases += len(points) - int(bad.sum())
+            rec.cases += len(fw) - int(bad.sum())
 
 
 def check_lemma3(qs=(3, 5), n_max=9):
@@ -340,7 +326,7 @@ def check_lemma4(qs=(3, 5), ds=(1, 2), ns=(4, 6, 8)):
         field = get_field(*prime_power(q))
         sets = list(_subsets(field, range(0, 3)))
         for d in ds:
-            points, windows, _ = _farey_windows(field, 0, d, n_max, False)
+            windows = farey_windows(field, 0, d, n_max).windows
             for forb in sets:
                 R = RestrictedSet(field, forb)
                 s = len(forb)

@@ -10,10 +10,21 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .charsum import RestrictedSet, local_factor, s_at, s_at_window, s_r_at
 from .field import FieldSpec, digits, get_field
 from .laurent import RationalPoint, e_q_of
-from .polys import Poly, euler_phi, mobius, poly_gcd, prime_count
+from .polys import (
+    Poly,
+    enumerate_monic,
+    euler_phi,
+    factorize,
+    mobius,
+    poly_gcd,
+    prime_count,
+    remainder_basis,
+)
 
 
 class NumericalError(RuntimeError):
@@ -50,8 +61,6 @@ def farey_enumerate(field: FieldSpec, d_max: int):
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     yield RationalPoint.zero(field)
-    from .polys import enumerate_monic
-
     one = Poly.one(field)
     for d in range(1, d_max + 1):
         for g in enumerate_monic(field, d):
@@ -60,6 +69,92 @@ def farey_enumerate(field: FieldSpec, d_max: int):
                     continue
                 if poly_gcd(a, g) == one:
                     yield RationalPoint(a, g)
+
+
+def _matmul(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B over F_q, through the field's op tables."""
+    mul, add = field.mul_table, field.add_table
+    out = np.zeros((len(A), B.shape[1]), dtype=np.int64)
+    for i in range(A.shape[1]):
+        out = add[out, mul[A[:, i, None], B[i]]]
+    return out
+
+
+@dataclass(frozen=True)
+class FareyWindows:
+    """Reduced fractions a/g, one row each, with their first m digits.
+
+    Row i is the numerator with code `codes[i]` over the denominator
+    `denominators[g_index[i]]`; `windows[i]` holds x_{-1}, ..., x_{-m} and
+    `degs[i]` the degree of the denominator.
+    """
+
+    denominators: tuple
+    g_index: np.ndarray
+    codes: np.ndarray
+    windows: np.ndarray
+    degs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def point(self, i: int) -> RationalPoint:
+        g = self.denominators[self.g_index[i]]
+        a = Poly(g.field, digits(int(self.codes[i]), g.field.q, g.degree))
+        return RationalPoint(a, g)
+
+
+def farey_windows(
+    field: FieldSpec, d_min: int, d_max: int, m: int, exclude_t_powers: bool = False
+) -> FareyWindows:
+    """The points of `farey_enumerate` with d_min <= deg g <= d_max, optionally
+    without the denominators t^d, and their digit windows, in the same order.
+
+    The digit x_{-j} of a/g is the t^(d-1) coefficient of t^(j-1) a mod g, so a
+    Hankel matrix H_g maps the coefficient row of a to its window.  A numerator
+    is coprime to g exactly when its remainder mod each irreducible factor of g
+    is nonzero.  `farey_enumerate` with `frac_digits` is the reference.
+    """
+    if m < 1:
+        raise ValueError("window length must be >= 1")
+    if d_max < 0:
+        raise ValueError("d_max must be >= 0")
+    q = field.q
+    gs = []
+    g_index, codes, degs = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
+    windows = [np.zeros((0, m), dtype=np.int64)]
+
+    def add_rows(g, row_codes, rows):
+        g_index.append(np.full(len(rows), len(gs), dtype=np.int64))
+        gs.append(g)
+        codes.append(row_codes)
+        windows.append(rows)
+        degs.append(np.full(len(rows), g.degree, dtype=np.int64))
+
+    if d_min <= 0 and not exclude_t_powers:
+        add_rows(Poly.one(field), np.zeros(1, dtype=np.int64), np.zeros((1, m), dtype=np.int64))
+    for d in range(max(d_min, 1), d_max + 1):
+        numer = np.arange(1, q**d, dtype=np.int64)
+        A = digits(numer, q, d)  # coefficient rows of every nonzero numerator
+        nonzero_mod = {}  # irreducible w -> (a mod w != 0) for every numerator a
+        for g in enumerate_monic(field, d):
+            if exclude_t_powers and not any(g.coeffs[:-1]):
+                continue
+            coprime = np.ones(len(A), dtype=bool)
+            for w, _ in factorize(g).factors:
+                if w not in nonzero_mod:
+                    nonzero_mod[w] = _matmul(field, A, remainder_basis(w, d - 1)).any(axis=1)
+                coprime &= nonzero_mod[w]
+            h = remainder_basis(g, d + m - 2)[:, d - 1]  # h[k] = [t^(d-1)] (t^k mod g)
+            hankel = h[np.arange(d)[:, None] + np.arange(m)]
+            add_rows(g, numer[coprime], _matmul(field, A[coprime], hankel))
+    return FareyWindows(
+        tuple(gs),
+        np.concatenate(g_index),
+        np.concatenate(codes),
+        np.concatenate(windows),
+        np.concatenate(degs),
+    )
 
 
 def arc_partition_check(field: FieldSpec, n: int) -> bool:

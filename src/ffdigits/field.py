@@ -288,25 +288,26 @@ class FieldSpec:
     @property
     def inv_table(self) -> np.ndarray:
         if self._inv_table is None:
-            t = np.zeros(self.q, dtype=np.int64)
-            for a in range(1, self.q):
-                t[a] = self.pow(a, self.q - 2)
-            self._inv_table = t
+            # the inverse of a is the column where row a of mul_table holds 1;
+            # row 0 has none, and argmax leaves its entry at 0
+            self._inv_table = np.argmax(self.mul_table == 1, axis=1).astype(np.int64)
         return self._inv_table
 
     @property
     def trace_table(self) -> np.ndarray:
         if self._trace_table is None:
-            t = np.zeros(self.q, dtype=np.int64)
-            for a in self.elements():
-                acc, frob = 0, a
+            # the trace is F_p-linear: tr(a) = sum_i c_i tr(t^i) for coordinates c
+            basis = []
+            for i in range(self.k):
+                acc, frob = 0, self.p**i  # the code of t^i
                 for _ in range(self.k):
                     acc = self.add(acc, frob)
                     frob = self.pow(frob, self.p)
                 if acc >= self.p:
                     raise FieldError("trace left the prime subfield")  # sanity
-                t[a] = acc
-            self._trace_table = t
+                basis.append(acc)
+            C = digits(np.arange(self.q, dtype=np.int64), self.p, self.k)
+            self._trace_table = (C @ np.array(basis, dtype=np.int64)) % self.p
         return self._trace_table
 
 

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from .field import FieldError, FieldSpec, digits
 
 
@@ -227,6 +229,22 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
         base = (base * base) % mod
         e >>= 1
     return result
+
+
+def remainder_basis(g: Poly, n: int) -> np.ndarray:
+    """Coefficient matrix of t^j mod g for j = 0..n, shape (n+1, deg g).
+
+    Row j holds the remainder of t^j, so the coefficient row of any f with
+    deg f <= n, multiplied into it over F_q, gives the coefficients of f mod g.
+    """
+    field = g.field
+    d = g.degree
+    rows = []
+    r = Poly.one(field)
+    for _ in range(n + 1):
+        rows.append([r[i] for i in range(d)])
+        r = r.shift(1) % g
+    return np.array(rows, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +154,63 @@ def test_json_line_deterministic():
     assert report_json_line(rep) == report_json_line(rep)
     rec = json.loads(report_json_line(rep))
     assert rec["forbidden"] == "0"
+
+
+# ---------------------------------------------------------------------------
+# resource bounds, checked in a capped child so a regression fails fast
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_capped(args, timeout=60):
+    """Run a fresh interpreter with its address space capped at 2 GiB."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, *args],
+        preexec_fn=cap,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize("forbid,n", [("", 40), ("0", 63)])
+def test_int64_decode_limit_exits_budget(forbid, n):
+    # 3^40 and 2^63 candidates reach 2^63, past the int64 candidate decode,
+    # so the census refuses them before any chunk exists, whatever --budget says
+    proc = _run_capped(
+        ["-m", "ffdigits.cli", "count", "--q", "3", "--forbid", forbid,
+         "--n", str(n), "--budget", str(10**30)]
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "2^63" in proc.stderr
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_chunk_starts_at_once(workers):
+    # 3^39 candidates are 1.2e14 chunks: the first must start without the rest
+    # being built
+    code = f"""
+from ffdigits import census
+from ffdigits.charsum import RestrictedSet
+from ffdigits.field import get_field
+
+def first_chunk(args):
+    raise RuntimeError(f"first chunk at {{args[5]}}")
+
+census._census_chunk = first_chunk
+try:
+    census.count_restricted(
+        RestrictedSet(get_field(3), frozenset()), 39, workers={workers}, budget=10**30
+    )
+except RuntimeError as exc:
+    print(exc)
+"""
+    proc = _run_capped(["-c", code], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "first chunk at 0"

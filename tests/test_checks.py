@@ -6,6 +6,8 @@ from ffdigits.charsum import RestrictedSet, lemma6_bound, s_r_at
 from ffdigits.checks import (
     CHECKS,
     PINNED_Q17_NO_ZERO,
+    _pointwise_bound_check,
+    _Recorder,
     check_corollary1,
     check_corollary2,
     check_identity,
@@ -114,6 +116,34 @@ def test_lemma6_counterexample_at_s_equals_p_minus_one():
     assert abs(value - 1) < 1e-12
     assert bound == pytest.approx(math.exp(-3 / 125))
     assert value > bound
+
+
+def test_pointwise_witnesses_reproduce_their_lhs():
+    # The excluded runs s = p - 1 break the lemma6 bound, so the driver must
+    # record witnesses; each one's point label must rebuild the point and its
+    # recorded |S_R|.  The bound is evaluated once per (set, n, deg g).
+    calls = []
+
+    def counted_bound(*args):
+        calls.append(args)
+        return lemma6_bound(*args)
+
+    p, n_max = 5, 3
+    sets = [frozenset((start + j) % p for j in range(p - 1)) for start in range(p)]
+    rec = _Recorder()
+    _pointwise_bound_check(rec, F5, sets, n_max, counted_bound)
+    assert rec.violations
+    assert len(calls) == len(sets) * n_max * 3
+    assert {args[3] for args in calls} == {1, 2, 3}
+    for _, witness in rec.violations:
+        num, den = witness["point"].split("/")
+        x = RationalPoint(Poly.parse(F5, num), Poly.parse(F5, den))
+        assert str(x) == witness["point"]
+        R = RestrictedSet(F5, frozenset(witness["forbidden"]))
+        n = witness["n"]
+        value = abs(s_r_at(R, n, frac_digits(x, n + 1)))
+        assert value == pytest.approx(witness["lhs"], rel=1e-12)
+        assert witness["rhs"] == lemma6_bound(p, p - 1, n, x.g.degree)
 
 
 def test_theorem_trend_pinned():

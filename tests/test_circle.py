@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ffdigits.charsum import RestrictedSet
@@ -11,14 +12,15 @@ from ffdigits.circle import (
     arc_partition_check,
     error_budget,
     farey_enumerate,
+    farey_windows,
     lemma1_error,
     lemma5_ratio,
     main_term,
     orthogonality_count,
     predictor,
 )
-from ffdigits.field import get_field
-from ffdigits.laurent import RationalPoint
+from ffdigits.field import FieldSpec, get_field
+from ffdigits.laurent import RationalPoint, frac_digits
 from ffdigits.polys import Poly, enumerate_monic, euler_phi, prime_count
 
 F2 = get_field(2)
@@ -54,6 +56,44 @@ def test_farey_count_is_phi_sum():
             for g in enumerate_monic(field, d)
         )
         assert len(points) == phi_sum == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_farey_windows_match_oracle(q):
+    spec = FieldSpec.from_q(q)
+    field = get_field(spec.p, spec.k, spec.modulus)
+    top = 3 if q < 7 else 2
+    oracle = list(farey_enumerate(field, top))
+    oracle_windows = np.array([frac_digits(x, 9) for x in oracle], dtype=np.int64)
+    # a row is (denominator, numerator code)
+    oracle_rows = [(x.g, sum(c * q**i for i, c in enumerate(x.a.coeffs))) for x in oracle]
+    for d_max in range(top + 1):
+        for d_min in (0, 1):
+            for exclude in (False, True):
+                keep = [
+                    i
+                    for i, x in enumerate(oracle)
+                    if d_min <= x.g.degree <= d_max
+                    and not (exclude and not any(x.g.coeffs[:-1]))
+                ]
+                for m in (1, 4, 9):
+                    fw = farey_windows(field, d_min, d_max, m, exclude_t_powers=exclude)
+                    rows = [(fw.denominators[j], c) for j, c in zip(fw.g_index, fw.codes)]
+                    assert rows == [oracle_rows[i] for i in keep]
+                    if keep:
+                        assert fw.point(len(fw) - 1) == oracle[keep[-1]]
+                    assert fw.windows.dtype == np.int64
+                    assert fw.windows.shape == (len(keep), m)
+                    assert np.array_equal(fw.windows, oracle_windows[keep, :m])
+                    assert fw.degs.tolist() == [oracle[i].g.degree for i in keep]
+
+
+@pytest.mark.parametrize("q,rows", [(3, 520), (5, 12_896), (7, 102_600)])
+def test_farey_windows_row_count(q, rows):
+    # reduced a/g with deg g = d number q^(2d-1)(q-1); phi(t^d) of them have g = t^d
+    closed = sum(q ** (2 * d - 1) * (q - 1) - (q**d - q ** (d - 1)) for d in (1, 2, 3))
+    assert closed == rows
+    assert len(farey_windows(get_field(q), 1, 3, 1, exclude_t_powers=True)) == rows
 
 
 def test_arc_membership():
