@@ -1,9 +1,14 @@
 """Exact parallel census of restricted-coefficient irreducibles.
 
-The engine enumerates coefficient vectors in fixed-size chunks and sieves each
-chunk with vectorized trial division by the cached irreducibles of degree up to
-n/2.  Chunk counts are plain integers merged in chunk order, so the result is
-identical for any worker count.
+The engine enumerates coefficient vectors in fixed-size chunks and removes
+every candidate with an irreducible factor of degree at most n/2.  It splits a
+candidate into a low half and a high half, f = low + t^h high + t^n, and
+tabulates once per count the remainder of every low half and of minus every
+high half modulo each such irreducible, packed into one integer code.  An
+irreducible g divides f exactly when the two codes of f's halves agree, so each
+sieve stage is one comparison of codes per (candidate, g).  Chunk counts are
+plain integers merged in chunk order, so the result is identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -15,18 +20,22 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .charsum import RestrictedSet, consecutive_l1_bound
 from .circle import ErrorBudget, PredictorParams, error_budget, predictor
-from .field import digits, get_field
-from .polys import irreducible_polys, remainder_basis
+from .field import digits, get_field, matmul
+from .polys import irreducible_polys, prime_count, remainder_basis
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15
-# Candidate indices are decoded in int64, so there must be fewer than 2^63.
-_DECODE_LIMIT = 1 << 63
+# Candidate indices and remainder codes are computed in int64, so both stay
+# below 2^63.
+_INT64_LIMIT = 1 << 63
+# Largest remainder matrix, in entries, built at once while tabulating codes.
+_BLOCK = 1 << 20
 
 
 class BudgetError(RuntimeError):
@@ -34,59 +43,62 @@ class BudgetError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# per-process sieve tables
+# sieve tables and the chunk kernel
 
-_stage_cache: dict = {}
+def _codes(field, A: np.ndarray, basis: np.ndarray, d: int) -> np.ndarray:
+    """The codes sum_i r_i q^i of the degree-<d remainders A @ basis, one per
+    d columns of `basis`, in the smallest integer type that holds q^d."""
+    q = field.q
+    weights = q ** np.arange(d, dtype=np.int64)
+    out = np.empty((len(A), basis.shape[1] // d), dtype=np.min_scalar_type(q**d - 1))
+    step = max(1, _BLOCK // basis.shape[1])
+    for i in range(0, len(A), step):
+        rem = matmul(field, A[i : i + step], basis)
+        out[i : i + step] = rem.reshape(len(rem), -1, d) @ weights
+    return out
 
 
-def _stages(field, n: int):
-    """Per degree d <= n/2: the stacked remainder bases of all irreducibles of degree d."""
-    key = (field, n)
-    got = _stage_cache.get(key)
-    if got is None:
-        got = []
-        for d in range(1, n // 2 + 1):
-            polys = irreducible_polys(field, d)
-            bases = [remainder_basis(g, n) for g in polys]
-            stacked = np.concatenate(bases, axis=1) if bases else None
-            got.append((d, bases, stacked))
-        _stage_cache[key] = got
-    return got
+@lru_cache(maxsize=1)
+def _sieve_tables(field, n: int, allowed: tuple) -> list:
+    """Per degree d <= n/2: (lowcode, highcode) over the irreducibles of degree d.
+
+    The candidate with index L + m^h H (m = len(allowed), h = n - n//2) is
+    low_L + t^h high_H + t^n, where low_L carries c_0..c_{h-1} and high_H
+    carries c_h..c_{n-1}.  lowcode[L, j] is the code of low_L mod g_j and
+    highcode[H, j] the code of -(t^h high_H + t^n) mod g_j, so g_j divides the
+    candidate exactly when the two codes are equal.
+    """
+    if n < 2:
+        return []
+    m, half = len(allowed), n // 2
+    h = n - half
+    low = np.array(allowed, dtype=np.int64)[digits(np.arange(m**h, dtype=np.int64), m, h)]
+    # digit index m stands for the leading coefficient 1
+    neg = np.array([field.neg(c) for c in allowed + (1,)], dtype=np.int64)
+    high_idx = digits(np.arange(m**half, dtype=np.int64), m, half)
+    high = neg[np.concatenate([high_idx, np.full((m**half, 1), m)], axis=1)]
+    tables = []
+    for d in range(1, half + 1):
+        basis = np.concatenate(
+            [remainder_basis(g, n) for g in irreducible_polys(field, d)], axis=1
+        )
+        tables.append((_codes(field, low, basis[:h], d), _codes(field, high, basis[h:], d)))
+    return tables
 
 
 def _census_chunk(args) -> int:
     p, k, modulus, forbidden, n, start, stop = args
     field = get_field(p, k, modulus)
-    comp = np.array(
-        [c for c in field.elements() if c not in forbidden], dtype=np.int64
-    )
-    C = np.ones((stop - start, n + 1), dtype=np.int64)
-    C[:, :n] = comp[digits(np.arange(start, stop, dtype=np.int64), len(comp), n)]
-    if n == 1:
-        return len(C)
-    for d, bases, stacked in _stages(field, n):
-        if field.k == 1:
-            rem = (C @ stacked) % p
-            divisible = (rem.reshape(len(C), -1, d) == 0).all(axis=2).any(axis=1)
-        else:
-            mul_t = field.mul_table
-            add_t = field.add_table
-            divisible = np.zeros(len(C), dtype=bool)
-            for B in bases:
-                is_div = np.ones(len(C), dtype=bool)
-                for i in range(d):
-                    acc = np.zeros(len(C), dtype=np.int64)
-                    for j in range(n + 1):
-                        if B[j, i]:
-                            acc = add_t[acc, mul_t[C[:, j], B[j, i]]]
-                    is_div &= acc == 0
-                    if not is_div.any():
-                        break
-                divisible |= is_div
-        C = C[~divisible]
-        if not len(C):
+    allowed = tuple(c for c in field.elements() if c not in forbidden)
+    idx = np.arange(start, stop, dtype=np.int64)
+    split = len(allowed) ** (n - n // 2)
+    L, H = idx % split, idx // split
+    for lowcode, highcode in _sieve_tables(field, n, allowed):
+        keep = ~(lowcode[L] == highcode[H]).any(axis=1)
+        L, H = L[keep], H[keep]
+        if not len(L):
             break
-    return len(C)
+    return len(L)
 
 
 def count_restricted(
@@ -101,12 +113,13 @@ def count_restricted(
         raise BudgetError(
             f"{total} candidate polynomials exceed the budget of {budget}"
         )
-    if total >= _DECODE_LIMIT:
+    if total >= _INT64_LIMIT:
         raise BudgetError(
             f"{total} candidate polynomials exceed the int64 decode limit of 2^63"
         )
     if n == 0:
         return 0
+    _check_sieve_budget(field.q, field.q - R.s, n, budget)
     chunks = (
         (
             field.p,
@@ -122,6 +135,25 @@ def count_restricted(
     if workers > 1 and total > _CHUNK:
         return _pool_count(chunks, workers)
     return sum(_census_chunk(c) for c in chunks)
+
+
+def _check_sieve_budget(q: int, m: int, n: int, budget: int):
+    """Refuse, before any irreducible list exists, sieve tables past the budget."""
+    half = n // 2
+    if half >= 63 or q**half >= _INT64_LIMIT:
+        raise BudgetError(
+            f"remainder codes modulo degree {half} exceed the int64 limit of 2^63"
+        )
+    tests = sum(q**d for d in range(1, half + 1))
+    if tests > budget:
+        raise BudgetError(
+            f"{tests} irreducibility tests for the sieve exceed the budget of {budget}"
+        )
+    entries = (m ** (n - half) + m**half) * sum(prime_count(q, d) for d in range(1, half + 1))
+    if entries > budget:
+        raise BudgetError(
+            f"{entries} sieve table entries exceed the budget of {budget}"
+        )
 
 
 def _pool_count(chunks, workers: int) -> int:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .charsum import RestrictedSet, local_factor, s_at, s_at_window, s_r_at
-from .field import FieldSpec, digits, get_field
+from .field import FieldSpec, digits, get_field, matmul
 from .laurent import RationalPoint, e_q_of
 from .polys import (
     Poly,
@@ -69,15 +69,6 @@ def farey_enumerate(field: FieldSpec, d_max: int):
                     continue
                 if poly_gcd(a, g) == one:
                     yield RationalPoint(a, g)
-
-
-def _matmul(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B over F_q, through the field's op tables."""
-    mul, add = field.mul_table, field.add_table
-    out = np.zeros((len(A), B.shape[1]), dtype=np.int64)
-    for i in range(A.shape[1]):
-        out = add[out, mul[A[:, i, None], B[i]]]
-    return out
 
 
 @dataclass(frozen=True)
@@ -143,11 +134,11 @@ def farey_windows(
             coprime = np.ones(len(A), dtype=bool)
             for w, _ in factorize(g).factors:
                 if w not in nonzero_mod:
-                    nonzero_mod[w] = _matmul(field, A, remainder_basis(w, d - 1)).any(axis=1)
+                    nonzero_mod[w] = matmul(field, A, remainder_basis(w, d - 1)).any(axis=1)
                 coprime &= nonzero_mod[w]
             h = remainder_basis(g, d + m - 2)[:, d - 1]  # h[k] = [t^(d-1)] (t^k mod g)
             hankel = h[np.arange(d)[:, None] + np.arange(m)]
-            add_rows(g, numer[coprime], _matmul(field, A[coprime], hankel))
+            add_rows(g, numer[coprime], matmul(field, A[coprime], hankel))
     return FareyWindows(
         tuple(gs),
         np.concatenate(g_index),

@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="max polynomial tests per census invocation",
+        help="max candidates, sieve irreducibility tests and sieve-table codes per census",
     )
 
     parser = argparse.ArgumentParser(

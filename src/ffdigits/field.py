@@ -63,6 +63,22 @@ def digits(value, base: int, width: int):
     return tuple(out)
 
 
+def matmul(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B over F_q for int64 arrays of element codes.
+
+    Prime fields reduce the integer product mod p, which is exact while
+    A.shape[1] * (p - 1)^2 < 2^63 and needs no q x q table; extension fields
+    go through the op tables.
+    """
+    if field.k == 1:
+        return (A @ B) % field.p
+    mul, add = field.mul_table, field.add_table
+    out = np.zeros((len(A), B.shape[1]), dtype=np.int64)
+    for i in range(A.shape[1]):
+        out = add[out, mul[A[:, i, None], B[i]]]
+    return out
+
+
 def _irreducible_over_prime_field(modulus: tuple, p: int) -> bool:
     from .polys import Poly, is_irreducible
 

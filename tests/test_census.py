@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from ffdigits import census
 from ffdigits.census import (
+    DEFAULT_BUDGET,
     REPORT_COLUMNS,
     BudgetError,
     census_report,
@@ -26,13 +28,9 @@ F2 = get_field(2)
 F3 = get_field(3)
 F4 = get_field(2, 2)
 F5 = get_field(5)
-
-
-def brute_count(R, n):
-    allowed = set(R.complement)
-    return sum(
-        1 for f in enumerate_monic(R.spec, n, allowed=allowed) if is_irreducible(f)
-    )
+F7 = get_field(7)
+F8 = get_field(2, 3)
+F9 = get_field(3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +42,7 @@ def test_count_examples():
     assert count_restricted(RestrictedSet.of(F2, 0), 3) == 0
     assert count_restricted(RestrictedSet.of(F3, 0), 2) == 2
     # no restriction recovers the full irreducible count
-    for q, field in [(2, F2), (3, F3), (5, F5)]:
+    for q, field in [(2, F2), (3, F3), (4, F4), (5, F5), (8, F8), (9, F9)]:
         empty = RestrictedSet(field, frozenset())
         for n in (1, 2, 3, 4):
             assert count_restricted(empty, n) == prime_count(q, n)
@@ -58,19 +56,23 @@ def test_count_degree_edge_cases():
     assert count_restricted(RestrictedSet(F3, frozenset()), 1) == 3
 
 
-@pytest.mark.parametrize("field", [F2, F3, F4, F5])
+@pytest.mark.parametrize("field", [F2, F3, F4, F5, F7, F8, F9])
 def test_count_matches_brute_force(field):
+    # every R with |R| <= 2 (a single allowed digit at q <= 3, 0 in R or not)
+    # and every n with q^n <= 3200, odd and even, from n = 0
     q = field.q
-    subsets = [frozenset()]
-    subsets += [frozenset(c) for c in combinations(range(q), 1)]
-    if q > 3:
-        subsets += [frozenset({0, 1}), frozenset({1, q - 1})]
-    for forbidden in subsets:
-        R = RestrictedSet(field, forbidden)
-        for n in range(1, 6):
-            if (q - R.s) ** n > 4000:
+    subsets = [frozenset(c) for r in (0, 1, 2) for c in combinations(range(q), r)]
+    for n in range(0, 12):
+        if q**n > 3200:
+            break
+        irreducible = [
+            set(f.coeffs[:-1]) for f in enumerate_monic(field, n) if n and is_irreducible(f)
+        ]
+        for forbidden in subsets:
+            if len(forbidden) == q:
                 continue
-            assert count_restricted(R, n) == brute_count(R, n)
+            expected = sum(1 for c in irreducible if not c & forbidden)
+            assert count_restricted(RestrictedSet(field, forbidden), n) == expected
 
 
 def test_parallel_determinism():
@@ -78,6 +80,41 @@ def test_parallel_determinism():
     reference = count_restricted(R, 5, workers=1)
     assert count_restricted(R, 5, workers=2) == reference
     assert count_restricted(R, 5, workers=4) == reference
+
+
+def test_parallel_determinism_extension_field():
+    # 4^9 candidates are 8 chunks
+    R = RestrictedSet(F4, frozenset())
+    assert count_restricted(R, 9, workers=2) == count_restricted(R, 9) == prime_count(4, 9)
+
+
+def test_counts_keep_no_census_state():
+    def sizes():
+        out = {}
+        for name, value in vars(census).items():
+            if isinstance(value, (dict, list, set)):
+                out[name] = len(value)
+            elif getattr(value, "__module__", None) == census.__name__ and hasattr(
+                value, "cache_info"
+            ):
+                out[name] = value.cache_info().currsize
+        return out
+
+    count_restricted(RestrictedSet.of(F3, 0), 4)
+    before = sizes()
+    for field, forbidden, n in [(F3, {1}, 6), (F5, set(), 4), (F4, {0, 3}, 7), (F3, {0}, 5)]:
+        count_restricted(RestrictedSet(field, frozenset(forbidden)), n)
+        assert sizes() == before
+
+
+def test_remainder_code_limit_before_any_list(monkeypatch):
+    # one candidate, but codes modulo degree 65 would not fit in int64
+    def no_lists(*args):
+        raise AssertionError("irreducible list built")
+
+    monkeypatch.setattr(census, "irreducible_polys", no_lists)
+    with pytest.raises(BudgetError, match="2\\^63"):
+        count_restricted(RestrictedSet.of(F2, 1), 130, budget=10**30)
 
 
 def test_budget_error_names_the_budget():
@@ -214,3 +251,20 @@ except RuntimeError as exc:
     proc = _run_capped(["-c", code], timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "first chunk at 0"
+
+
+@pytest.mark.parametrize(
+    "q,forbid,n",
+    [
+        (2, "1", 70),  # one candidate; Rabin lists to degree 35
+        (17, ",".join(map(str, range(3, 17))), 16),  # 3^16 candidates; 17^8 tests
+        (17, ",".join(map(str, range(3, 17))), 12),  # 17^6 tests; 6e9 table codes
+    ],
+)
+def test_sieve_tables_within_budget(q, forbid, n):
+    proc = _run_capped(
+        ["-m", "ffdigits.cli", "count", "--q", str(q), "--forbid", forbid, "--n", str(n)],
+        timeout=10,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert str(DEFAULT_BUDGET) in proc.stderr

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ffdigits.field import FieldError, FieldSpec, digits, get_field
+from ffdigits.field import FieldError, FieldSpec, digits, get_field, matmul
 from ffdigits.polys import Poly, pow_mod
 
 F2 = get_field(2)
@@ -189,3 +189,17 @@ def test_op_tables_match_polynomial_arithmetic(q):
     assert field.add_table.tolist() == add.tolist()
     assert field.inv_table.tolist() == inv
     assert field.trace_table.tolist() == trace
+
+
+@pytest.mark.parametrize("q", [2, 5, 17, 4, 9])
+def test_matmul_matches_scalar_ops(q):
+    field = FieldSpec.from_q(q)
+    rng = np.random.default_rng(q)
+    A = rng.integers(0, q, size=(6, 4))
+    B = rng.integers(0, q, size=(4, 3))
+    expected = [[0] * 3 for _ in range(6)]
+    for i in range(6):
+        for j in range(3):
+            for k in range(4):
+                expected[i][j] = field.add(expected[i][j], field.mul(int(A[i, k]), int(B[k, j])))
+    assert matmul(field, A, B).tolist() == expected
