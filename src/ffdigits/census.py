@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charsum import RestrictedSet, consecutive_l1_bound
+from .charsum import RestrictedSet
 from .circle import ErrorBudget, PredictorParams, error_budget, predictor
 from .field import digits, get_field, matmul
 from .polys import irreducible_polys, prime_count, remainder_basis
@@ -184,8 +184,6 @@ class CensusReport:
     ratio: float | None
     lam: Fraction
     budget: ErrorBudget | None
-    consecutive: bool
-    consecutive_bound: float | None
     elapsed: float
     error: str | None = None
 
@@ -238,10 +236,6 @@ def census_report(
         budget_rec = error_budget(params.q, params.s, n)
     except ValueError:
         budget_rec = None
-    consecutive = R.is_consecutive
-    cons_bound = (
-        consecutive_l1_bound(params.q, params.s, n) if consecutive else None
-    )
     return CensusReport(
         q=params.q,
         s=params.s,
@@ -252,8 +246,6 @@ def census_report(
         ratio=ratio,
         lam=params.lam,
         budget=budget_rec,
-        consecutive=consecutive,
-        consecutive_bound=cons_bound,
         elapsed=elapsed,
         error=error,
     )

@@ -12,7 +12,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .field import FieldSpec
+import numpy as np
+
+from .field import FieldSpec, matmul
 from .laurent import RationalPoint, e_q_of, frac_digits
 from .polys import Poly, enumerate_monic, irreducible_polys, prime_count
 
@@ -115,15 +117,27 @@ def digit_weights(R: RestrictedSet) -> tuple:
 # ---------------------------------------------------------------------------
 # the sums S_R and S
 
-def s_r_at(R: RestrictedSet, n: int, window) -> complex:
-    """S_R(x) from the digit-product formula, given x_{-1}..x_{-n-1}."""
-    if len(window) < n + 1:
-        raise ValueError(f"window of length {len(window)} too short for degree {n}")
-    W = digit_weights(R)
-    value = R.spec.psi(window[n])  # the monic leading term
-    for i in range(n):
-        value *= W[window[i]]
-    return value
+def _windows(window, n: int) -> np.ndarray:
+    w = np.asarray(window, dtype=np.int64)
+    if w.shape[-1] < n + 1:
+        raise ValueError(f"window of length {w.shape[-1]} too short for degree {n}")
+    return w
+
+
+def _result(values: np.ndarray, w: np.ndarray):
+    return values if w.ndim > 1 else values.item()
+
+
+def s_r_at(R: RestrictedSet, n: int, window):
+    """S_R(x) from the digit-product formula, given x_{-1}..x_{-n-1}.
+
+    `window` is one window or an (N, >= n+1) int64 array of windows; an array
+    gives the N values.
+    """
+    w = _windows(window, n)
+    W = np.array(digit_weights(R))
+    # the monic leading term times one weight per lower digit
+    return _result(R.spec.psi_table[w[..., n]] * W[w[..., :n]].prod(-1), w)
 
 
 def s_r_definitional(R: RestrictedSet, n: int, x: RationalPoint) -> complex:
@@ -131,24 +145,18 @@ def s_r_definitional(R: RestrictedSet, n: int, x: RationalPoint) -> complex:
     return sum(e_q_of(m, x) for m in enumerate_monic(R.spec, n, R.complement))
 
 
-@lru_cache(maxsize=None)
-def _irreducible_coeffs(spec: FieldSpec, n: int) -> tuple:
-    return tuple(f.coeffs for f in irreducible_polys(spec, n))
+def s_at_window(spec: FieldSpec, n: int, window):
+    """S(x) from its digit window x_{-1}..x_{-n-1}, as `frac_digits` returns it.
 
-
-def s_at_window(spec: FieldSpec, n: int, window) -> complex:
-    """S(x) from its digit window x_{-1}..x_{-n-1}, as `frac_digits` returns it."""
-    psi = spec.psi
-    mul = spec.mul
-    add = spec.add
-    total = 0j
-    for coeffs in _irreducible_coeffs(spec, n):
-        acc = 0
-        for hj, xj in zip(coeffs, window):
-            if hj:
-                acc = add(acc, mul(hj, xj))
-        total += psi(acc)
-    return total
+    `window` is one window or an (N, >= n+1) int64 array of windows; an array
+    gives the N values.  The t^{-1} coefficient of h*x is sum_j h_j x_{-j-1},
+    so one F_q product against the coefficient rows of the irreducibles h
+    gives every character argument at once.
+    """
+    w = _windows(window, n)
+    H = np.array([f.coeffs for f in irreducible_polys(spec, n)], dtype=np.int64)
+    acc = matmul(spec, np.atleast_2d(w[..., : n + 1]), H.reshape(-1, n + 1).T)
+    return _result(spec.psi_table[acc].sum(-1), w)
 
 
 def s_at(spec: FieldSpec, n: int, x: RationalPoint, budget: int = DEFAULT_S_BUDGET) -> complex:

@@ -165,7 +165,7 @@ def check_identity(workers=1):
     grid.extend((field5, R, 3) for R in sampled)
     for field, forb, n in grid:
         R = RestrictedSet(field, forb)
-        via_integral = orthogonality_count(R, n, workers=workers)
+        via_integral = orthogonality_count(R, n)
         via_census = count_restricted(R, n, workers=workers)
         rec.record(
             via_integral == via_census,

@@ -11,10 +11,8 @@ import inspect
 import json
 import os
 import sys
-import time
 
-from . import census as census_mod
-from .census import BudgetError, DEFAULT_BUDGET, census_report, scan, write_csv, write_json
+from .census import BudgetError, DEFAULT_BUDGET, count_restricted, scan, write_csv, write_json
 from .charsum import RestrictedSet
 from .checks import CHECKS, run_check
 from .circle import NumericalError, PredictorParams, predictor
@@ -77,9 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--d-max", type=int, help="override max denominator degree")
     p_ver.add_argument("--json", help="write line-delimited JSON results here")
 
-    p_bench = sub.add_parser("bench", parents=[common], help="time the census engine")
-    p_bench.add_argument("--n", type=int, default=4)
-
     return parser
 
 
@@ -107,7 +102,7 @@ def _parse_degrees(text: str) -> list:
 def _cmd_count(args) -> int:
     R = _restricted_from_args(args)
     workers = args.workers or _default_workers()
-    print(census_mod.count_restricted(R, args.n, workers=workers, budget=args.budget))
+    print(count_restricted(R, args.n, workers=workers, budget=args.budget))
     return EXIT_OK
 
 
@@ -187,26 +182,11 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
-def _cmd_bench(args) -> int:
-    R = _restricted_from_args(args)
-    workers = args.workers or _default_workers()
-    start = time.perf_counter()
-    count = census_mod.count_restricted(R, args.n, workers=workers, budget=args.budget)
-    elapsed = time.perf_counter() - start
-    tested = (R.spec.q - R.s) ** args.n
-    print(
-        f"count={count} candidates={tested} elapsed={elapsed:.3f}s "
-        f"rate={tested / max(elapsed, 1e-9):.3g}/s workers={workers}"
-    )
-    return EXIT_OK
-
-
 _COMMANDS = {
     "count": _cmd_count,
     "predict": _cmd_predict,
     "scan": _cmd_scan,
     "verify": _cmd_verify,
-    "bench": _cmd_bench,
 }
 
 

@@ -263,10 +263,7 @@ class FieldSpec:
 
     def psi(self, a: int) -> complex:
         """The additive character exp(2*pi*i*trace(a)/p)."""
-        if self._psi_table is None:
-            roots = [cmath.exp(2j * cmath.pi * r / self.p) for r in range(self.p)]
-            self._psi_table = [roots[self.trace(x)] for x in self.elements()]
-        return self._psi_table[a]
+        return self.psi_table[a].item()
 
     # -- dense op tables (also reused by the census) -------------------------
 
@@ -325,6 +322,15 @@ class FieldSpec:
             C = digits(np.arange(self.q, dtype=np.int64), self.p, self.k)
             self._trace_table = (C @ np.array(basis, dtype=np.int64)) % self.p
         return self._trace_table
+
+    @property
+    def psi_table(self) -> np.ndarray:
+        """psi(a) for every element code a, as a complex128 array."""
+        if self._psi_table is None:
+            roots = np.array([cmath.exp(2j * cmath.pi * r / self.p) for r in range(self.p)])
+            traces = np.arange(self.q) if self.k == 1 else self.trace_table
+            self._psi_table = roots[traces]
+        return self._psi_table
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,6 @@ from ffdigits.checks import (
     check_pnt,
     check_theorem_trend,
 )
-from ffdigits.circle import orthogonality_count
 from ffdigits.field import get_field
 
 
@@ -103,19 +102,6 @@ def test_criterion_10_asymptotic_trend(verdict):
 def test_criterion_11_parallel_determinism(verdict):
     start = time.perf_counter()
     ok = True
-    # the orthogonality grid of criterion 2, sampled
-    F2 = get_field(2)
-    F3 = get_field(3)
-    F5 = get_field(5)
-    orth_cases = [
-        (RestrictedSet.of(F2, 0), 3),
-        (RestrictedSet.of(F3, 1), 3),
-        (RestrictedSet.of(F5, 0, 1), 3),
-    ]
-    for R, n in orth_cases:
-        ref = orthogonality_count(R, n, workers=1)
-        ok &= orthogonality_count(R, n, workers=2) == ref
-        ok &= orthogonality_count(R, n, workers=4) == ref
     # the census grid of criterion 10
     R17 = RestrictedSet.of(get_field(17), 0)
     for n, pinned in sorted(PINNED_Q17_NO_ZERO.items()):

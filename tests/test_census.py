@@ -147,13 +147,6 @@ def test_report_budget_exceeded_row():
     assert rep.predictor > 0  # prediction survives the failed enumeration
 
 
-def test_report_consecutive_column():
-    cons = census_report(RestrictedSet.of(F5, 1, 2), 3)
-    assert cons.consecutive and cons.consecutive_bound is not None
-    gap = census_report(RestrictedSet.of(F5, 0, 2), 3)
-    assert not gap.consecutive and gap.consecutive_bound is None
-
-
 def test_scan_sorted_and_error_isolated():
     R = RestrictedSet.of(F5, 0)
     reports = scan(R, [6, 2, 4], budget=1000)

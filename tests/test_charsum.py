@@ -1,6 +1,7 @@
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
+import numpy as np
 import pytest
 
 from ffdigits.charsum import (
@@ -15,10 +16,12 @@ from ffdigits.charsum import (
     lemma6_bound,
     nonzero_digit_count,
     s_at,
+    s_at_window,
     s_r_at,
     s_r_definitional,
 )
-from ffdigits.field import get_field
+from ffdigits.circle import farey_enumerate
+from ffdigits.field import get_field, prime_power
 from ffdigits.laurent import RationalPoint, frac_digits
 from ffdigits.polys import Poly, poly_gcd, prime_count
 
@@ -139,6 +142,22 @@ def test_s_at_examples():
     # q=3, n=1: the three linear monics sum to zero at 1/t
     val = s_at(F3, 1, pt(F3, (1,), (0, 1)))
     assert abs(val) < 1e-12
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_batched_kernels_match_row_by_row(q):
+    field = get_field(*prime_power(q))
+    R = RestrictedSet.of(field, 1)
+    points = list(islice(farey_enumerate(field, 2), 40))[::4]
+    for n in range(1, 4):
+        # windows one digit longer than S and S_R read
+        batch = np.array([frac_digits(x, n + 2) for x in points], dtype=np.int64)
+        s_rows = s_at_window(field, n, batch)
+        s_r_rows = s_r_at(R, n, batch)
+        assert s_rows.shape == s_r_rows.shape == (len(points),)
+        for x, s_val, s_r_val in zip(points, s_rows, s_r_rows):
+            assert abs(s_val - s_at(field, n, x)) < 1e-9
+            assert abs(s_r_val - s_r_definitional(R, n, x)) < 1e-9
 
 
 def test_s_at_trivial_bound():

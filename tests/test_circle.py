@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ffdigits import circle, cli
+from ffdigits.census import count_restricted
 from ffdigits.charsum import RestrictedSet
 from ffdigits.circle import (
     FareyArc,
@@ -19,7 +21,7 @@ from ffdigits.circle import (
     orthogonality_count,
     predictor,
 )
-from ffdigits.field import FieldSpec, get_field
+from ffdigits.field import FieldSpec, get_field, prime_power
 from ffdigits.laurent import RationalPoint, frac_digits
 from ffdigits.polys import Poly, enumerate_monic, euler_phi, prime_count
 
@@ -235,10 +237,33 @@ def test_orthogonality_examples():
     assert orthogonality_count(RestrictedSet.of(F2, 0), 2) == 1
     assert orthogonality_count(RestrictedSet.of(F2, 1), 2) == 0
     assert orthogonality_count(RestrictedSet(F3, frozenset()), 2) == prime_count(3, 2)
+    # extension fields, where psi goes through the trace table
+    for q in (4, 8, 9):
+        field = get_field(*prime_power(q))
+        for forbidden in (frozenset(), frozenset({0}), frozenset({1})):
+            R = RestrictedSet(field, forbidden)
+            for n in range(1, 4):
+                assert orthogonality_count(R, n) == count_restricted(R, n), (q, forbidden, n)
 
 
-def test_orthogonality_worker_determinism():
-    R = RestrictedSet.of(F3, 0)
-    reference = orthogonality_count(R, 3, workers=1)
-    assert orthogonality_count(R, 3, workers=2) == reference
-    assert orthogonality_count(R, 3, workers=4) == reference
+def _s_off_at_zero(monkeypatch):
+    """Make circle's S kernel add i*q^(n+1)/2 at the point 0.  That moves the
+    orthogonality average by i*(q-s)^n/2, off every integer by at least 0.5."""
+    kernel = circle.s_at_window
+
+    def shifted(spec, n, window):
+        return kernel(spec, n, window) + 0.5j * spec.q ** (n + 1) * ~window.any(axis=-1)
+
+    monkeypatch.setattr(circle, "s_at_window", shifted)
+
+
+def test_orthogonality_numerical_error(monkeypatch):
+    _s_off_at_zero(monkeypatch)
+    with pytest.raises(NumericalError, match="deviates 0.5 from an integer"):
+        orthogonality_count(RestrictedSet.of(F2, 0), 3)
+
+
+def test_verify_identity_numerical_exit(monkeypatch, capsys):
+    _s_off_at_zero(monkeypatch)
+    assert cli.main(["verify", "identity"]) == cli.EXIT_NUMERICAL == 3
+    assert "numerical failure" in capsys.readouterr().err

@@ -118,13 +118,6 @@ def test_budget_exit(capsys):
     assert "budget exceeded" in err
 
 
-def test_bench(capsys):
-    code, out, _ = run(capsys, "bench", "--q", "3", "--forbid", "0", "--n", "4")
-    assert code == EXIT_OK
-    assert out.startswith("count=")
-    assert "rate=" in out
-
-
 def test_workers_env(capsys, monkeypatch):
     monkeypatch.setenv("FFDIGITS_WORKERS", "2")
     code, out, _ = run(capsys, "count", "--q", "3", "--forbid", "0", "--n", "5")
