@@ -1,14 +1,15 @@
 """Exact parallel census of restricted-coefficient irreducibles.
 
 The engine enumerates coefficient vectors in fixed-size chunks and removes
-every candidate with an irreducible factor of degree at most n/2.  It splits a
-candidate into a low half and a high half, f = low + t^h high + t^n, and
-tabulates once per count the remainder of every low half and of minus every
-high half modulo each such irreducible, packed into one integer code.  An
-irreducible g divides f exactly when the two codes of f's halves agree, so each
-sieve stage is one comparison of codes per (candidate, g).  Chunk counts are
-plain integers merged in chunk order, so the result is identical for any worker
-count.
+every candidate with an irreducible factor of degree at most n/2 with the
+remainder-code sieve of `polys`.  It splits a candidate into a low half and a
+high half, f = low + t^h high + t^n, and tabulates once per count the
+remainder of every low half and of minus every high half modulo each such
+irreducible, packed into one integer code.  An irreducible g divides f exactly
+when the two codes of f's halves agree, so each sieve stage is one comparison
+of codes per (candidate, g).  The same sieve lists the irreducibles it divides
+by.  Chunk counts are plain integers merged in chunk order, so the result is
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -26,16 +27,14 @@ import numpy as np
 
 from .charsum import RestrictedSet
 from .circle import ErrorBudget, PredictorParams, error_budget, predictor
-from .field import digits, get_field, matmul
-from .polys import irreducible_polys, prime_count, remainder_basis
+from .field import get_field
+from .polys import prime_count, sieve, sieve_tables
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 15
 # Candidate indices and remainder codes are computed in int64, so both stay
 # below 2^63.
 _INT64_LIMIT = 1 << 63
-# Largest remainder matrix, in entries, built at once while tabulating codes.
-_BLOCK = 1 << 20
 
 
 class BudgetError(RuntimeError):
@@ -43,47 +42,12 @@ class BudgetError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# sieve tables and the chunk kernel
-
-def _codes(field, A: np.ndarray, basis: np.ndarray, d: int) -> np.ndarray:
-    """The codes sum_i r_i q^i of the degree-<d remainders A @ basis, one per
-    d columns of `basis`, in the smallest integer type that holds q^d."""
-    q = field.q
-    weights = q ** np.arange(d, dtype=np.int64)
-    out = np.empty((len(A), basis.shape[1] // d), dtype=np.min_scalar_type(q**d - 1))
-    step = max(1, _BLOCK // basis.shape[1])
-    for i in range(0, len(A), step):
-        rem = matmul(field, A[i : i + step], basis)
-        out[i : i + step] = rem.reshape(len(rem), -1, d) @ weights
-    return out
-
+# the chunk kernel
 
 @lru_cache(maxsize=1)
 def _sieve_tables(field, n: int, allowed: tuple) -> list:
-    """Per degree d <= n/2: (lowcode, highcode) over the irreducibles of degree d.
-
-    The candidate with index L + m^h H (m = len(allowed), h = n - n//2) is
-    low_L + t^h high_H + t^n, where low_L carries c_0..c_{h-1} and high_H
-    carries c_h..c_{n-1}.  lowcode[L, j] is the code of low_L mod g_j and
-    highcode[H, j] the code of -(t^h high_H + t^n) mod g_j, so g_j divides the
-    candidate exactly when the two codes are equal.
-    """
-    if n < 2:
-        return []
-    m, half = len(allowed), n // 2
-    h = n - half
-    low = np.array(allowed, dtype=np.int64)[digits(np.arange(m**h, dtype=np.int64), m, h)]
-    # digit index m stands for the leading coefficient 1
-    neg = np.array([field.neg(c) for c in allowed + (1,)], dtype=np.int64)
-    high_idx = digits(np.arange(m**half, dtype=np.int64), m, half)
-    high = neg[np.concatenate([high_idx, np.full((m**half, 1), m)], axis=1)]
-    tables = []
-    for d in range(1, half + 1):
-        basis = np.concatenate(
-            [remainder_basis(g, n) for g in irreducible_polys(field, d)], axis=1
-        )
-        tables.append((_codes(field, low, basis[:h], d), _codes(field, high, basis[h:], d)))
-    return tables
+    """`polys.sieve_tables`, kept for the chunks of one count."""
+    return sieve_tables(field, n, allowed)
 
 
 def _census_chunk(args) -> int:
@@ -92,12 +56,7 @@ def _census_chunk(args) -> int:
     allowed = tuple(c for c in field.elements() if c not in forbidden)
     idx = np.arange(start, stop, dtype=np.int64)
     split = len(allowed) ** (n - n // 2)
-    L, H = idx % split, idx // split
-    for lowcode, highcode in _sieve_tables(field, n, allowed):
-        keep = ~(lowcode[L] == highcode[H]).any(axis=1)
-        L, H = L[keep], H[keep]
-        if not len(L):
-            break
+    L, _ = sieve(_sieve_tables(field, n, allowed), idx % split, idx // split)
     return len(L)
 
 
@@ -144,10 +103,10 @@ def _check_sieve_budget(q: int, m: int, n: int, budget: int):
         raise BudgetError(
             f"remainder codes modulo degree {half} exceed the int64 limit of 2^63"
         )
-    tests = sum(q**d for d in range(1, half + 1))
-    if tests > budget:
+    listed = sum(q**d for d in range(1, half + 1))
+    if listed > budget:
         raise BudgetError(
-            f"{tests} irreducibility tests for the sieve exceed the budget of {budget}"
+            f"{listed} candidates for the sieve's irreducible lists exceed the budget of {budget}"
         )
     entries = (m ** (n - half) + m**half) * sum(prime_count(q, d) for d in range(1, half + 1))
     if entries > budget:

@@ -32,7 +32,7 @@ from .circle import (
 )
 from .field import get_field, prime_power
 from .laurent import RationalPoint
-from .polys import Poly, enumerate_monic, prime_count
+from .polys import Poly, enumerate_monic, euler_phi, mobius, prime_count
 
 MAX_WITNESSES = 10
 
@@ -359,16 +359,20 @@ def check_lemma1(q=3, ns=(4, 6)):
     started = time.perf_counter()
     rec = _Recorder()
     field = get_field(*prime_power(q))
+    mu_phi = {}  # one factorization per denominator, not per point
     for n in ns:
         half_up = (n + 1) // 2
         for x in farey_enumerate(field, n // 2):
+            g = x.g.monic()
+            if g not in mu_phi:
+                mu_phi[g] = (mobius(g), euler_phi(g))
             offsets = [None]
             gamma = RationalPoint(
                 Poly.one(field), Poly.t(field, x.g.degree + half_up + 1)
             )
             offsets.append(gamma)
             for gamma in offsets:
-                rep = lemma1_error(x.a, x.g, gamma, n)
+                rep = lemma1_error(x.a, x.g, gamma, n, mu_phi[g])
                 rec.record(
                     rep.ok,
                     abs(rep.error) - rep.bound,

@@ -184,11 +184,12 @@ class PointErrorReport:
         return abs(self.error) <= self.bound + 1e-9
 
 
-def lemma1_error(a: Poly, g: Poly, gamma, n: int) -> PointErrorReport:
+def lemma1_error(a: Poly, g: Poly, gamma, n: int, mu_phi=None) -> PointErrorReport:
     """Split S(a/g + gamma) into its major-arc main term and the remainder.
 
     The remainder is checked against the square-root cancellation bound
-    q^(n - floor(n/2)/2).
+    q^(n - floor(n/2)/2).  `mu_phi` is (mobius, euler_phi) of the monic g, if
+    the caller already has it.
     """
     field = g.field
     if gamma is None:
@@ -202,10 +203,11 @@ def lemma1_error(a: Poly, g: Poly, gamma, n: int) -> PointErrorReport:
     if not gamma.norm_less_than(-(g.degree + half_up)):
         raise ValueError("gamma outside the arc radius")
     q = field.q
-    mu = mobius(g.monic())
+    if mu_phi is None:
+        mu_phi = (mobius(g.monic()), euler_phi(g.monic()))
+    mu, phi = mu_phi
     main = 0j
     if mu != 0 and gamma.norm_less_than(-n):
-        phi = euler_phi(g.monic())
         main = (
             Fraction(mu, phi)
             * prime_count(field, n)

@@ -1,4 +1,5 @@
-"""The ring F_q[t]: arithmetic, gcd, irreducibility, factorization and counting.
+"""The ring F_q[t]: arithmetic, gcd, irreducibility, the remainder-code sieve,
+factorization and counting.
 
 Polynomials are immutable dense coefficient tuples (ascending powers of t) of
 field element codes.  The zero polynomial is the empty tuple with degree -1.
@@ -12,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import FieldError, FieldSpec, digits
+from .field import FieldError, FieldSpec, digits, matmul
 
 
 class Poly:
@@ -231,20 +232,41 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     return result
 
 
+def remainder_bases(field: FieldSpec, G: np.ndarray, n: int) -> np.ndarray:
+    """t^j mod g for j = 0..n, for every monic g of one degree d at once.
+
+    Row i of G holds the non-leading coefficients g_0..g_{d-1} of one g.  The
+    result has shape (len(G), n+1, d); entry [i, j] is the coefficient row of
+    t^j mod g_i, from the recurrence r_{j+1} = t r_j - top(r_j) g_i.  Prime
+    fields reduce mod p; extension fields go through the op tables.
+    """
+    N, d = G.shape
+    out = np.zeros((N, n + 1, d), dtype=np.int64)
+    if d == 0:
+        return out
+    p, k = field.p, field.k
+    minus_g = ((-digits(G, p, k)) % p) @ p ** np.arange(k, dtype=np.int64)
+    r = np.zeros((N, d), dtype=np.int64)
+    r[:, 0] = 1
+    for j in range(n + 1):
+        out[:, j] = r
+        top = r[:, -1:]
+        r = np.concatenate([np.zeros((N, 1), dtype=np.int64), r[:, :-1]], axis=1)
+        if k == 1:
+            r = (r + top * minus_g) % p
+        else:
+            r = field.add_table[r, field.mul_table[top, minus_g]]
+    return out
+
+
 def remainder_basis(g: Poly, n: int) -> np.ndarray:
     """Coefficient matrix of t^j mod g for j = 0..n, shape (n+1, deg g).
 
     Row j holds the remainder of t^j, so the coefficient row of any f with
     deg f <= n, multiplied into it over F_q, gives the coefficients of f mod g.
     """
-    field = g.field
-    d = g.degree
-    rows = []
-    r = Poly.one(field)
-    for _ in range(n + 1):
-        rows.append([r[i] for i in range(d)])
-        r = r.shift(1) % g
-    return np.array(rows, dtype=np.int64)
+    G = np.array(g.monic().coeffs[:-1], dtype=np.int64).reshape(1, -1)
+    return remainder_bases(g.field, G, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +306,106 @@ def is_irreducible(f: Poly) -> bool:
 
 @lru_cache(maxsize=None)
 def irreducible_polys(field: FieldSpec, d: int) -> tuple:
-    """All monic irreducibles of degree d, in enumeration order."""
+    """All monic irreducibles of degree d, in enumeration order, by Rabin's test.
+
+    This is the reference that `irreducible_codes` is tested against, and the
+    degree-d list of the character sum S.
+    """
     if d < 1:
         return ()
     if d == 1:
         return tuple(Poly(field, (c, 1)) for c in field.elements())
     return tuple(f for f in enumerate_monic(field, d) if is_irreducible(f))
+
+
+# ---------------------------------------------------------------------------
+# the remainder-code sieve and the irreducible lists it builds
+
+# Largest remainder matrix, in entries, built at once while tabulating codes.
+_BLOCK = 1 << 20
+# Candidates sieved at once while listing irreducibles.
+_CANDIDATES = 1 << 15
+
+
+def _codes(field, A: np.ndarray, basis: np.ndarray, d: int, out: np.ndarray):
+    """Write into `out` the codes sum_i r_i q^i of the degree-<d remainders
+    A @ basis, one per d columns of `basis`."""
+    weights = field.q ** np.arange(d, dtype=np.int64)
+    step = max(1, _BLOCK // basis.shape[1])
+    for i in range(0, len(A), step):
+        rem = matmul(field, A[i : i + step], basis)
+        out[i : i + step] = rem.reshape(len(rem), -1, d) @ weights
+
+
+def sieve_tables(field: FieldSpec, n: int, allowed: tuple) -> list:
+    """Per degree d <= n/2: (lowcode, highcode) over the irreducibles of degree d.
+
+    The candidate with index L + m^h H (m = len(allowed), h = n - n//2) is
+    low_L + t^h high_H + t^n, where low_L carries c_0..c_{h-1} and high_H
+    carries c_h..c_{n-1}.  lowcode[L, j] is the code of low_L mod g_j and
+    highcode[H, j] the code of -(t^h high_H + t^n) mod g_j, so g_j divides the
+    candidate exactly when the two codes are equal.
+    """
+    if n < 2:
+        return []
+    m, half = len(allowed), n // 2
+    h = n - half
+    low = np.array(allowed, dtype=np.int64)[digits(np.arange(m**h, dtype=np.int64), m, h)]
+    # digit index m stands for the leading coefficient 1
+    neg = np.array([field.neg(c) for c in allowed + (1,)], dtype=np.int64)
+    high_idx = digits(np.arange(m**half, dtype=np.int64), m, half)
+    high = neg[np.concatenate([high_idx, np.full((m**half, 1), m)], axis=1)]
+    tables = []
+    for d in range(1, half + 1):
+        G = irreducible_codes(field, d)
+        code_type = np.min_scalar_type(field.q**d - 1)
+        lowcode = np.empty((len(low), len(G)), dtype=code_type)
+        highcode = np.empty((len(high), len(G)), dtype=code_type)
+        # the bases of all of G hold (n+1) d len(G) entries, which no budget counts
+        step = max(1, _BLOCK // ((n + 1) * d))
+        for i in range(0, len(G), step):
+            bases = remainder_bases(field, G[i : i + step], n)
+            basis = bases.transpose(1, 0, 2).reshape(n + 1, -1)  # d columns per g
+            _codes(field, low, basis[:h], d, lowcode[:, i : i + step])
+            _codes(field, high, basis[h:], d, highcode[:, i : i + step])
+        tables.append((lowcode, highcode))
+    return tables
+
+
+def sieve(tables: list, L: np.ndarray, H: np.ndarray) -> tuple:
+    """The candidates (L, H) whose codes agree for no irreducible of `tables`."""
+    for lowcode, highcode in tables:
+        keep = ~(lowcode[L] == highcode[H]).any(axis=1)
+        L, H = L[keep], H[keep]
+        if not len(L):
+            break
+    return L, H
+
+
+@lru_cache(maxsize=None)
+def irreducible_codes(field: FieldSpec, d: int) -> np.ndarray:
+    """Coefficient rows (c_0, ..., c_{d-1}) of the monic irreducibles of degree
+    d, in `enumerate_monic` order, as a read-only int64 array.
+
+    The sieve over all q^d monics leaves exactly the irreducibles; its divisors
+    are the irreducibles of degree <= d/2, listed by the same function, down to
+    the q linear polynomials, which no stage removes.
+    """
+    if d < 1:
+        return np.zeros((0, 0), dtype=np.int64)
+    q = field.q
+    tables = sieve_tables(field, d, tuple(field.elements()))
+    split = q ** (d - d // 2)
+    found = []
+    for lo in range(0, q**d, _CANDIDATES):
+        idx = np.arange(lo, min(lo + _CANDIDATES, q**d), dtype=np.int64)
+        L, H = sieve(tables, idx % split, idx // split)
+        found.append(L + split * H)
+    rows = digits(np.concatenate(found), q, d)
+    # candidate indices put c_0 least significant, enumeration most significant
+    rows = rows[np.lexsort(rows.T[::-1])]
+    rows.flags.writeable = False
+    return rows
 
 
 # ---------------------------------------------------------------------------

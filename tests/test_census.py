@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ffdigits import census
+from ffdigits import census, polys
 from ffdigits.census import (
     DEFAULT_BUDGET,
     REPORT_COLUMNS,
@@ -31,6 +31,7 @@ F5 = get_field(5)
 F7 = get_field(7)
 F8 = get_field(2, 3)
 F9 = get_field(3, 2)
+F17 = get_field(17)
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +108,36 @@ def test_counts_keep_no_census_state():
         assert sizes() == before
 
 
-def test_remainder_code_limit_before_any_list(monkeypatch):
-    # one candidate, but codes modulo degree 65 would not fit in int64
+def _no_lists(monkeypatch):
+    # neither list builder, the sieve's own or Rabin's, may run before a refusal
     def no_lists(*args):
         raise AssertionError("irreducible list built")
 
-    monkeypatch.setattr(census, "irreducible_polys", no_lists)
+    monkeypatch.setattr(polys, "irreducible_codes", no_lists)
+    monkeypatch.setattr(polys, "irreducible_polys", no_lists)
+
+
+def test_remainder_code_limit_before_any_list(monkeypatch):
+    # one candidate, but codes modulo degree 65 would not fit in int64
+    _no_lists(monkeypatch)
     with pytest.raises(BudgetError, match="2\\^63"):
         count_restricted(RestrictedSet.of(F2, 1), 130, budget=10**30)
+
+
+def test_sieve_table_entries_before_any_list(monkeypatch):
+    # 3^12 candidates and 17^1 + ... + 17^6 listed ones are within the budget,
+    # the (3^6 + 3^6) * sum pi(d) table codes are not
+    _no_lists(monkeypatch)
+    with pytest.raises(BudgetError, match="sieve table entries"):
+        count_restricted(RestrictedSet(F17, frozenset(range(3, 17))), 12)
+
+
+def test_sieve_reaches_the_list_builder(monkeypatch):
+    # the guard above would pass vacuously if the census took its lists elsewhere
+    _no_lists(monkeypatch)
+    census._sieve_tables.cache_clear()
+    with pytest.raises(AssertionError, match="irreducible list built"):
+        count_restricted(RestrictedSet.of(F3, 0), 4)
 
 
 def test_budget_error_names_the_budget():

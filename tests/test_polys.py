@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffdigits import polys
 from ffdigits.field import get_field
 from ffdigits.polys import (
     Poly,
@@ -8,18 +9,24 @@ from ffdigits.polys import (
     euler_phi,
     factorize,
     int_mobius,
+    irreducible_codes,
     irreducible_polys,
     is_irreducible,
     mobius,
     poly_gcd,
     pow_mod,
     prime_count,
+    remainder_bases,
+    remainder_basis,
 )
 
 F2 = get_field(2)
 F3 = get_field(3)
 F4 = get_field(2, 2)
 F5 = get_field(5)
+F7 = get_field(7)
+F8 = get_field(2, 3)
+F9 = get_field(3, 2)
 F17 = get_field(17)
 
 
@@ -116,6 +123,50 @@ def test_irreducible_count_matches_formula(field, n):
 def test_irreducible_list_cached():
     assert irreducible_polys(F2, 2) == (P(F2, 1, 1, 1),)
     assert len(irreducible_polys(F3, 2)) == 3
+
+
+@pytest.mark.parametrize(
+    "field,d_max", [(F2, 8), (F3, 5), (F4, 4), (F5, 4), (F7, 3), (F8, 3), (F9, 3)]
+)
+def test_sieve_lists_and_bases_match_rabin(field, d_max, monkeypatch):
+    def banned(*args):
+        raise AssertionError("the sieve built a Poly or ran Rabin's test")
+
+    irreducible_codes.cache_clear()  # list every degree, recursion included
+    with monkeypatch.context() as m:
+        m.setattr(polys, "Poly", banned)
+        m.setattr(polys, "is_irreducible", banned)
+        codes = [irreducible_codes(field, d) for d in range(d_max + 1)]
+    assert codes[0].shape == (0, 0)
+    for d in range(1, d_max + 1):
+        rabin = irreducible_polys(field, d)
+        assert codes[d].tolist() == [list(g.coeffs[:-1]) for g in rabin]
+        assert not codes[d].flags.writeable
+        bases = remainder_bases(field, codes[d], 2 * d + 1)
+        for g, basis in zip(rabin, bases):
+            for j, row in enumerate(basis):
+                r = Poly.t(field, j) % g
+                assert row.tolist() == [r[i] for i in range(d)]
+            assert (remainder_basis(g, 2 * d + 1) == basis).all()
+
+
+def test_sieve_tables_build_bases_in_blocks(monkeypatch):
+    # the bases of every irreducible of one degree hold (n+1) d pi(d) entries,
+    # which no budget counts, so they are built a block of irreducibles at a time
+    whole = polys.sieve_tables(F3, 16, (0, 2))
+    built = []
+
+    def recording(field, G, n):
+        built.append(G.size * (n + 1))
+        return remainder_bases(field, G, n)
+
+    monkeypatch.setattr(polys, "_BLOCK", 1000)
+    monkeypatch.setattr(polys, "remainder_bases", recording)
+    blocked = polys.sieve_tables(F3, 16, (0, 2))
+    assert max(built) <= 1000
+    for (low, high), (low_b, high_b) in zip(whole, blocked):
+        assert low.dtype == low_b.dtype and (low == low_b).all() and (high == high_b).all()
+    assert [low.shape[1] for low, _ in blocked] == [prime_count(3, d) for d in range(1, 9)]
 
 
 # ---------------------------------------------------------------------------
