@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .charsum import RestrictedSet
-from .circle import ErrorBudget, PredictorParams, error_budget, predictor
+from .circle import PredictorParams, error_budget, predictor
 from .field import get_field
 from .polys import prime_count, sieve, sieve_tables
 
@@ -54,10 +54,7 @@ def _census_chunk(args) -> int:
     p, k, modulus, forbidden, n, start, stop = args
     field = get_field(p, k, modulus)
     allowed = tuple(c for c in field.elements() if c not in forbidden)
-    idx = np.arange(start, stop, dtype=np.int64)
-    split = len(allowed) ** (n - n // 2)
-    L, _ = sieve(_sieve_tables(field, n, allowed), idx % split, idx // split)
-    return len(L)
+    return len(sieve(_sieve_tables(field, n, allowed), np.arange(start, stop, dtype=np.int64)))
 
 
 def count_restricted(
@@ -142,7 +139,7 @@ class CensusReport:
     predictor: float
     ratio: float | None
     lam: Fraction
-    budget: ErrorBudget | None
+    budget_total: float | None
     elapsed: float
     error: str | None = None
 
@@ -157,7 +154,7 @@ class CensusReport:
             "predictor": self.predictor,
             "ratio": self.ratio,
             "lambda": float(self.lam),
-            "budget_total": self.budget.total if self.budget else None,
+            "budget_total": self.budget_total,
             "elapsed_s": round(self.elapsed, 6),
         }
 
@@ -192,9 +189,9 @@ def census_report(
         error = str(exc)
     elapsed = time.perf_counter() - start
     try:
-        budget_rec = error_budget(params.q, params.s, n)
+        budget_total = error_budget(params.q, params.s, n)
     except ValueError:
-        budget_rec = None
+        budget_total = None
     return CensusReport(
         q=params.q,
         s=params.s,
@@ -204,7 +201,7 @@ def census_report(
         predictor=predictor(params),
         ratio=ratio,
         lam=params.lam,
-        budget=budget_rec,
+        budget_total=budget_total,
         elapsed=elapsed,
         error=error,
     )

@@ -23,6 +23,7 @@ from .charsum import (
     lemma6_bound,
 )
 from .circle import (
+    arc_exponent,
     arc_partition_check,
     farey_enumerate,
     farey_windows,
@@ -354,24 +355,20 @@ def check_lemma4(qs=(3, 5), ds=(1, 2), ns=(4, 6, 8)):
     return rec.result("lemma4", {"qs": list(qs), "ds": list(ds), "ns": list(ns)}, started)
 
 
-def check_lemma1(q=3, ns=(4, 6)):
+def check_lemma1(q=3, ns=(4, 5, 6)):
     """Square-root cancellation at every arc center, with and without an offset."""
     started = time.perf_counter()
     rec = _Recorder()
     field = get_field(*prime_power(q))
     mu_phi = {}  # one factorization per denominator, not per point
     for n in ns:
-        half_up = (n + 1) // 2
         for x in farey_enumerate(field, n // 2):
             g = x.g.monic()
             if g not in mu_phi:
                 mu_phi[g] = (mobius(g), euler_phi(g))
-            offsets = [None]
-            gamma = RationalPoint(
-                Poly.one(field), Poly.t(field, x.g.degree + half_up + 1)
-            )
-            offsets.append(gamma)
-            for gamma in offsets:
+            # the widest offset 1/t^k inside the arc
+            edge = RationalPoint(Poly.one(field), Poly.t(field, arc_exponent(x.g.degree, n) + 1))
+            for gamma in (None, edge):
                 rep = lemma1_error(x.a, x.g, gamma, n, mu_phi[g])
                 rec.record(
                     rep.ok,
@@ -405,7 +402,9 @@ def check_lemma5(qs=(2, 3), d_max=6):
     return rec.result("lemma5", {"qs": list(qs), "d_max": d_max}, started)
 
 
-def check_partition(cases=((2, 2), (2, 4), (3, 2), (3, 4))):
+def check_partition(
+    cases=((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (3, 5), (4, 4), (4, 5))
+):
     """Every discretized point lies in exactly one Farey arc."""
     started = time.perf_counter()
     rec = _Recorder()

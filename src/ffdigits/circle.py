@@ -151,23 +151,43 @@ def farey_windows(
     )
 
 
+def arc_exponent(deg_g, n: int):
+    """The arc around a/g at level n is |x - a/g| < q^(-arc_exponent(deg g, n)).
+
+    The paper's radius is 1/(|g| q^(n/2)).  Norms are integer powers of q, so
+    |x - a/g| < q^(-deg g - n/2) holds exactly when the exponent reaches
+    deg g + floor(n/2).  With deg g <= floor(n/2) these arcs tile the unit
+    interval: Dirichlet's theorem puts every x in one, and distinct reduced
+    fractions a/g, b/h are |ah - bg|/|gh| >= q^(-deg g - floor(n/2)) apart, so
+    no arc holds another's centre and, norms being ultrametric, none meet.
+    Works on ints and on int64 arrays of degrees.
+    """
+    return deg_g + n // 2
+
+
 def arc_partition_check(field: FieldSpec, n: int) -> bool:
-    """True iff the arcs at level n cover each discretized point exactly once."""
+    """True iff the arcs at level n cover each point a'/t^n exactly once.
+
+    |x - a/g| < q^(-e) says that x and a/g share their first e digits, since
+    digits subtract without carries.  The digits of a'/t^n are the top
+    coefficients of a' and then zeros, so for e <= n the arc holds the points
+    whose codes lie in [P q^(n-e), (P+1) q^(n-e)), P the first e digits of a/g
+    with x_{-1} most significant.  The arcs tile the level exactly when these
+    intervals, sorted by start, abut from 0 to q^n.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
-    half_up = (n + 1) // 2
-    half_down = n // 2
-    arcs = [
-        FareyArc(c, c.g.degree + half_up)
-        for c in farey_enumerate(field, half_down)
-    ]
-    t_m = Poly.t(field, n)
-    for a in _polys_below_degree(field, n):
-        x = RationalPoint(a, t_m)
-        hits = sum(1 for arc in arcs if arc.contains(x))
-        if hits != 1:
-            return False
-    return True
+    q = field.q
+    m = max(n, arc_exponent(n // 2, n))
+    fw = farey_windows(field, 0, n // 2, m)
+    e = arc_exponent(fw.degs, n)
+    prefix = np.where(np.arange(m) < e[:, None], fw.windows, 0)
+    # a point has no digits past x_{-n}, so a longer prefix names at most one point
+    keep = ~prefix[:, n:].any(axis=1)
+    start = prefix[keep, :n] @ q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    order = np.argsort(start)
+    start, end = start[order], (start + q ** np.maximum(n - e[keep], 0))[order]
+    return bool(start[0] == 0 and end[-1] == q**n and np.array_equal(start[1:], end[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +217,9 @@ def lemma1_error(a: Poly, g: Poly, gamma, n: int, mu_phi=None) -> PointErrorRepo
     if poly_gcd(a, g) != Poly.one(field) and not a.is_zero:
         raise ValueError("a and g must be coprime")
     half_down = n // 2
-    half_up = (n + 1) // 2
     if not (a.degree < g.degree or a.is_zero) or g.degree > half_down:
         raise ValueError("need |a| < |g| <= q^(n/2)")
-    if not gamma.norm_less_than(-(g.degree + half_up)):
+    if not gamma.norm_less_than(-arc_exponent(g.degree, n)):
         raise ValueError("gamma outside the arc radius")
     q = field.q
     if mu_phi is None:
@@ -284,44 +303,16 @@ def _safe_exp(x: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Reported (never asserted) error terms with all implied constants set to 1."""
+def error_budget(q: int, s: int, n: int) -> float:
+    """Reported (never asserted) total error, all implied constants set to 1.
 
-    term_weil: float
-    term_minor_small: float
-    term_minor_large: float
-    total: float
-    U: float
-
-
-def error_budget(q: int, s: int, n: int, U: float | None = None) -> ErrorBudget:
-    if U is None:
-        U = math.sqrt(2 * n / 5)
-    if not 1 <= U <= n / 2:
-        raise ValueError(f"need 1 <= U <= n/2, got U={U}")
+    Defined for n >= 3, where the minor-arc split U = sqrt(2n/5) lies in [1, n/2].
+    """
+    if n < 3:
+        raise ValueError(f"the error budget needs n >= 3, got {n}")
     lq = math.log(q)
-    l_cs = math.log(math.sqrt(s) + 1 - 2 * s / q)  # >= 0 for s < q
-    l_qs = math.log(q - s)
-    # Square-root cancellation term, normalized by the main-term scale
-    # (q/(q-1)) * (q-s)^n / n.
-    term_weil = _safe_exp(
-        (n - (n // 2) / 2) * lq + n * l_cs - n * l_qs + math.log(n) + math.log((q - 1) / q)
-    )
-    if s == 0:
-        term_minor_small = 0.0
-    else:
-        term_minor_small = _safe_exp(U * lq + (n / U) * (math.log(s) - l_qs))
-    term_minor_large = _safe_exp(U / 2 * lq + U * (l_cs - l_qs))
-    total = _safe_exp(-math.sqrt(n) / (2 * math.sqrt(10)) * lq) + _safe_exp(
-        n * (0.75 * lq + math.log(math.sqrt(s) + 1) - l_qs)
-    )
-    return ErrorBudget(
-        term_weil=term_weil,
-        term_minor_small=term_minor_small,
-        term_minor_large=term_minor_large,
-        total=total,
-        U=U,
+    return _safe_exp(-math.sqrt(n) / (2 * math.sqrt(10)) * lq) + _safe_exp(
+        n * (0.75 * lq + math.log(math.sqrt(s) + 1) - math.log(q - s))
     )
 
 

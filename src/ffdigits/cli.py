@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="max candidates, sieve irreducibility tests and sieve-table codes per census",
+        help="max candidates, sieve-list candidates and sieve-table codes per census",
     )
 
     parser = argparse.ArgumentParser(
@@ -136,27 +136,29 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _check_params(args, fn) -> dict:
+def _verify_flags(args) -> dict:
+    """Each verify flag given -> the check parameters it sets, in order of preference."""
+    q, n = args.q, args.n
+    flags = {
+        "--q": (q is not None, [("q", q), ("qs", (q,)), ("ps", (q,))]),
+        "--n": (n is not None, [("n_max", n), ("ns", (n,))]),
+        "--d-max": (args.d_max is not None, [("d_max", args.d_max)]),
+        "--budget": (args.budget != DEFAULT_BUDGET, [("budget", args.budget)]),
+        "--workers": (args.workers is not None, [("workers", args.workers or _default_workers())]),
+        "--forbid": (bool(args.forbid), []),
+        "--ext-modulus": (bool(args.ext_modulus), []),
+    }
+    return {flag: choices for flag, (given, choices) in flags.items() if given}
+
+
+def _check_params(flags: dict, fn) -> dict:
     accepted = inspect.signature(fn).parameters
-    params = {}
-    if "workers" in accepted:
-        params["workers"] = args.workers or _default_workers()
-    if args.q is not None:
-        if "q" in accepted:
-            params["q"] = args.q
-        elif "qs" in accepted:
-            params["qs"] = (args.q,)
-        elif "ps" in accepted:
-            params["ps"] = (args.q,)
-    if args.n is not None:
-        if "n_max" in accepted:
-            params["n_max"] = args.n
-        elif "ns" in accepted:
-            params["ns"] = (args.n,)
-    if args.d_max is not None and "d_max" in accepted:
-        params["d_max"] = args.d_max
-    if args.budget != DEFAULT_BUDGET and "budget" in accepted:
-        params["budget"] = args.budget
+    params = {"workers": _default_workers()} if "workers" in accepted else {}
+    for choices in flags.values():
+        for name, value in choices:
+            if name in accepted:
+                params[name] = value
+                break
     return params
 
 
@@ -166,10 +168,16 @@ def _cmd_verify(args) -> int:
     if unknown:
         print(f"unknown check: {', '.join(unknown)}", file=sys.stderr)
         return EXIT_USAGE
+    flags = _verify_flags(args)
+    accepted = set().union(*(inspect.signature(CHECKS[c]).parameters for c in ids))
+    ignored = [f for f, choices in flags.items() if not any(n in accepted for n, _ in choices)]
+    if ignored:
+        print(f"verify {args.check}: no check takes {', '.join(ignored)}", file=sys.stderr)
+        return EXIT_USAGE
     results = []
     print(f"{'check':<16} {'cases':>8} {'result':>8} {'elapsed_s':>10}")
     for check_id in ids:
-        result = run_check(check_id, **_check_params(args, CHECKS[check_id]))
+        result = run_check(check_id, **_check_params(flags, CHECKS[check_id]))
         results.append(result)
         verdict = "pass" if result.passed else "FAIL"
         print(f"{check_id:<16} {result.cases:>8} {verdict:>8} {result.elapsed:>10.2f}")

@@ -372,14 +372,19 @@ def sieve_tables(field: FieldSpec, n: int, allowed: tuple) -> list:
     return tables
 
 
-def sieve(tables: list, L: np.ndarray, H: np.ndarray) -> tuple:
-    """The candidates (L, H) whose codes agree for no irreducible of `tables`."""
+def sieve(tables: list, idx: np.ndarray) -> np.ndarray:
+    """The candidate indices L + m^h H (`sieve_tables`) whose codes agree for
+    no irreducible of `tables`; the low tables have the m^h rows."""
+    if not tables:
+        return idx
+    split = len(tables[0][0])
+    L, H = idx % split, idx // split
     for lowcode, highcode in tables:
         keep = ~(lowcode[L] == highcode[H]).any(axis=1)
         L, H = L[keep], H[keep]
         if not len(L):
             break
-    return L, H
+    return L + split * H
 
 
 @lru_cache(maxsize=None)
@@ -395,12 +400,10 @@ def irreducible_codes(field: FieldSpec, d: int) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     q = field.q
     tables = sieve_tables(field, d, tuple(field.elements()))
-    split = q ** (d - d // 2)
-    found = []
-    for lo in range(0, q**d, _CANDIDATES):
-        idx = np.arange(lo, min(lo + _CANDIDATES, q**d), dtype=np.int64)
-        L, H = sieve(tables, idx % split, idx // split)
-        found.append(L + split * H)
+    found = [
+        sieve(tables, np.arange(lo, min(lo + _CANDIDATES, q**d), dtype=np.int64))
+        for lo in range(0, q**d, _CANDIDATES)
+    ]
     rows = digits(np.concatenate(found), q, d)
     # candidate indices put c_0 least significant, enumeration most significant
     rows = rows[np.lexsort(rows.T[::-1])]

@@ -189,6 +189,13 @@ def test_csv_columns(tmp_path):
     assert first["q"] == "3" and first["n"] == "2" and first["exact"] == "2"
 
 
+def test_json_budget_total_null_below_n3(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_json(scan(RestrictedSet.of(F3, 0), [1, 2, 3]), path)
+    totals = [json.loads(line)["budget_total"] for line in path.read_text().splitlines()]
+    assert totals == [None, None, 12.584842055135661]
+
+
 def test_json_round_trip(tmp_path):
     R = RestrictedSet.of(F3, 0)
     reports = scan(R, [2, 3])

@@ -21,12 +21,13 @@ from ffdigits.circle import (
     orthogonality_count,
     predictor,
 )
-from ffdigits.field import FieldSpec, get_field, prime_power
+from ffdigits.field import FieldSpec, digits, get_field, prime_power
 from ffdigits.laurent import RationalPoint, frac_digits
 from ffdigits.polys import Poly, enumerate_monic, euler_phi, prime_count
 
 F2 = get_field(2)
 F3 = get_field(3)
+F4 = get_field(2, 2)
 F5 = get_field(5)
 
 
@@ -106,9 +107,35 @@ def test_arc_membership():
     assert not arc.contains(RationalPoint.zero(F2))
 
 
-@pytest.mark.parametrize("field,n", [(F2, 2), (F3, 2), (F2, 4), (F3, 4)])
+def _arcs_tile_by_loop(field, n):
+    """The oracle: every point a/t^n lies in exactly one `FareyArc`."""
+    arcs = [
+        FareyArc(c, circle.arc_exponent(c.g.degree, n)) for c in farey_enumerate(field, n // 2)
+    ]
+    t_n = Poly.t(field, n)
+    points = (RationalPoint(Poly(field, digits(v, field.q, n)), t_n) for v in range(field.q**n))
+    return all(sum(arc.contains(x) for arc in arcs) == 1 for x in points)
+
+
+@pytest.mark.parametrize(
+    "field,n",
+    [(F2, 2), (F3, 2), (F2, 4), (F3, 4)]
+    + [(field, n) for field in (F2, F3) for n in (3, 5, 6, 7)]
+    + [(field, n) for field in (F4, F5) for n in range(2, 6)],
+)
 def test_arc_partition(field, n):
     assert arc_partition_check(field, n)
+    # the loop takes ~0.25 ms per (point, arc) pair, so it runs on the small levels
+    if field.q**n * len(list(farey_enumerate(field, n // 2))) <= 3000:
+        assert _arcs_tile_by_loop(field, n)
+
+
+def test_arc_partition_fails_with_ceil_radius(monkeypatch):
+    monkeypatch.setattr(circle, "arc_exponent", lambda deg_g, n: deg_g + (n + 1) // 2)
+    for field in (F2, F3):
+        assert arc_partition_check(field, 4)
+        assert not arc_partition_check(field, 3) and not _arcs_tile_by_loop(field, 3)
+        assert not arc_partition_check(field, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +177,13 @@ def test_lemma1_precondition_errors():
     with pytest.raises(ValueError):
         lemma1_error(Poly.one(F3), Poly(F3, (1, 1, 1, 1)), None, 4)  # deg g > n/2
     with pytest.raises(ValueError):
-        # gamma outside the arc radius q^{-(deg g + ceil(n/2))}
+        # gamma outside the arc radius q^{-(deg g + floor(n/2))}
         gamma = RationalPoint(Poly.one(F3), Poly.t(F3))
         lemma1_error(Poly.zero(F3), Poly.one(F3), gamma, 4)
+    # at odd n the radius is q^{-(deg g + floor(n/2))}: q^-2 for g = 1, n = 5
+    assert lemma1_error(Poly.zero(F3), Poly.one(F3), pt(F3, (1,), (0, 0, 0, 1)), 5).ok
+    with pytest.raises(ValueError, match="arc radius"):
+        lemma1_error(Poly.zero(F3), Poly.one(F3), pt(F3, (1,), (0, 0, 1)), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +231,17 @@ def test_predictor_flagging():
 # error budget
 
 def test_error_budget_monotone_in_s():
-    totals = [error_budget(17, s, 12).total for s in (0, 1, 2, 3)]
+    totals = [error_budget(17, s, 12) for s in (0, 1, 2, 3)]
     assert totals == sorted(totals)
 
 
 def test_error_budget_large_field_scale():
     q = 500
     n = round(100 * math.log(q) ** 2)
-    budget = error_budget(q, 11, n)
-    assert budget.total < 1
+    total = error_budget(q, 11, n)
+    assert total < 1
     first = q ** (-math.sqrt(n) / (2 * math.sqrt(10)))
-    second = budget.total - first
+    second = total - first
     assert first > second
 
 
@@ -221,13 +252,6 @@ def test_error_budget_single_forbidden_bracket():
         bracket = q**0.75 * (2 - 2 / q) / (q - 1)
         assert bracket < 1
     assert 13**0.75 * (2 - 2 / 13) / 12 > 1
-
-
-def test_error_budget_u_validation():
-    with pytest.raises(ValueError):
-        error_budget(17, 1, 12, U=0.5)
-    with pytest.raises(ValueError):
-        error_budget(17, 1, 12, U=7)
 
 
 # ---------------------------------------------------------------------------

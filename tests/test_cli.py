@@ -95,6 +95,24 @@ def test_verify_json_output(capsys, tmp_path):
     assert rec["cases"] >= 1
 
 
+def test_verify_rejects_flags_no_check_takes(capsys, monkeypatch):
+    for argv, ignored in (
+        (("partition", "--q", "7", "--n", "5"), "--q, --n"),
+        (("all", "--forbid", "0"), "--forbid"),
+        (("lemma5", "--q", "4", "--ext-modulus", "1,1,1"), "--ext-modulus"),
+        (("partition", "--workers", "2"), "--workers"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and err.strip().endswith(f"no check takes {ignored}")
+    # flags that some selected check takes still run; the environment is no flag
+    monkeypatch.setenv("FFDIGITS_WORKERS", "2")
+    code, out, _ = run(capsys, "verify", "partition")
+    assert code == EXIT_OK and "pass" in out
+    code, out, _ = run(capsys, "verify", "lemma5", "--q", "3", "--d-max", "2")
+    assert code == EXIT_OK and "pass" in out
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "lemma99")
     assert code == EXIT_USAGE
