@@ -16,7 +16,7 @@ import numpy as np
 
 from .field import FieldSpec, matmul
 from .laurent import RationalPoint, e_q_of, frac_digits
-from .polys import Poly, enumerate_monic, irreducible_polys, prime_count
+from .polys import Poly, enumerate_monic, irreducible_rows, prime_count
 
 # Above this many irreducibles a definitional S(x) evaluation emits a warning.
 DEFAULT_S_BUDGET = 2_000_000
@@ -151,11 +151,13 @@ def s_at_window(spec: FieldSpec, n: int, window):
     `window` is one window or an (N, >= n+1) int64 array of windows; an array
     gives the N values.  The t^{-1} coefficient of h*x is sum_j h_j x_{-j-1},
     so one F_q product against the coefficient rows of the irreducibles h
-    gives every character argument at once.
+    gives every character argument at once; the leading h_n = 1 adds x_{-n-1}.
     """
     w = _windows(window, n)
-    H = np.array([f.coeffs for f in irreducible_polys(spec, n)], dtype=np.int64)
-    acc = matmul(spec, np.atleast_2d(w[..., : n + 1]), H.reshape(-1, n + 1).T)
+    W = np.atleast_2d(w)
+    acc = matmul(spec, W[:, :n], irreducible_rows(spec, n).T)
+    lead = W[:, n, None]
+    acc = (acc + lead) % spec.p if spec.k == 1 else spec.add_table[acc, lead]
     return _result(spec.psi_table[acc].sum(-1), w)
 
 

@@ -19,7 +19,6 @@ from .polys import (
     enumerate_monic,
     euler_phi,
     factorize,
-    irreducible_polys,
     mobius,
     poly_gcd,
     prime_count,
@@ -46,7 +45,10 @@ class FareyArc:
     radius_exponent: int
 
     def contains(self, x: RationalPoint) -> bool:
-        return (x - self.center).norm_less_than(-self.radius_exponent)
+        # |b/h - a/g| = |b g - a h| / |g h|, with no need to reduce the difference
+        a, g = self.center.a, self.center.g
+        diff = x.a * g - a * x.g
+        return diff.is_zero or diff.degree - g.degree - x.g.degree < -self.radius_exponent
 
 
 def _polys_below_degree(field: FieldSpec, d: int):
@@ -329,7 +331,7 @@ def orthogonality_count(R: RestrictedSet, n: int) -> int:
     field = R.spec
     m = n + 1
     npoints = field.q**m
-    step = max(1, _BLOCK // max(1, len(irreducible_polys(field, n))))
+    step = max(1, _BLOCK // prime_count(field, n))
     total = 0j
     for lo in range(0, npoints, step):
         codes = np.arange(lo, min(lo + step, npoints), dtype=np.int64)

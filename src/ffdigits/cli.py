@@ -25,14 +25,24 @@ EXIT_NUMERICAL = 3
 EXIT_BUDGET = 4
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _default_workers() -> int:
     env = os.environ.get("FFDIGITS_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"FFDIGITS_WORKERS: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="defining modulus for extension fields, comma-separated F_p residues",
     )
     common.add_argument("--forbid", default="", help="forbidden coefficients, e.g. 0,3,7")
-    common.add_argument("--workers", type=int, default=None, help="parallel workers")
+    common.add_argument("--workers", type=_positive_int, default=None, help="parallel workers")
     common.add_argument(
         "--budget",
         type=int,
@@ -144,16 +154,16 @@ def _verify_flags(args) -> dict:
         "--n": (n is not None, [("n_max", n), ("ns", (n,))]),
         "--d-max": (args.d_max is not None, [("d_max", args.d_max)]),
         "--budget": (args.budget != DEFAULT_BUDGET, [("budget", args.budget)]),
-        "--workers": (args.workers is not None, [("workers", args.workers or _default_workers())]),
+        "--workers": (args.workers is not None, [("workers", args.workers)]),
         "--forbid": (bool(args.forbid), []),
         "--ext-modulus": (bool(args.ext_modulus), []),
     }
     return {flag: choices for flag, (given, choices) in flags.items() if given}
 
 
-def _check_params(flags: dict, fn) -> dict:
+def _check_params(flags: dict, fn, workers: int) -> dict:
     accepted = inspect.signature(fn).parameters
-    params = {"workers": _default_workers()} if "workers" in accepted else {}
+    params = {"workers": workers} if "workers" in accepted else {}
     for choices in flags.values():
         for name, value in choices:
             if name in accepted:
@@ -174,10 +184,11 @@ def _cmd_verify(args) -> int:
     if ignored:
         print(f"verify {args.check}: no check takes {', '.join(ignored)}", file=sys.stderr)
         return EXIT_USAGE
+    workers = _default_workers()
     results = []
     print(f"{'check':<16} {'cases':>8} {'result':>8} {'elapsed_s':>10}")
     for check_id in ids:
-        result = run_check(check_id, **_check_params(flags, CHECKS[check_id]))
+        result = run_check(check_id, **_check_params(flags, CHECKS[check_id], workers))
         results.append(result)
         verdict = "pass" if result.passed else "FAIL"
         print(f"{check_id:<16} {result.cases:>8} {verdict:>8} {result.elapsed:>10.2f}")

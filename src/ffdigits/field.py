@@ -63,6 +63,12 @@ def digits(value, base: int, width: int):
     return tuple(out)
 
 
+def negate(field: FieldSpec, A: np.ndarray) -> np.ndarray:
+    """-A over F_q for an int64 array of element codes, coordinate by coordinate."""
+    p, k = field.p, field.k
+    return (-digits(A, p, k) % p) @ p ** np.arange(k, dtype=np.int64)
+
+
 def matmul(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B over F_q for int64 arrays of element codes.
 

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import FieldError, FieldSpec, digits, matmul
+from .field import FieldError, FieldSpec, digits, matmul, negate
 
 
 class Poly:
@@ -245,7 +245,7 @@ def remainder_bases(field: FieldSpec, G: np.ndarray, n: int) -> np.ndarray:
     if d == 0:
         return out
     p, k = field.p, field.k
-    minus_g = ((-digits(G, p, k)) % p) @ p ** np.arange(k, dtype=np.int64)
+    minus_g = negate(field, G)
     r = np.zeros((N, d), dtype=np.int64)
     r[:, 0] = 1
     for j in range(n + 1):
@@ -270,7 +270,7 @@ def remainder_basis(g: Poly, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# irreducibility (Rabin) and cached irreducible lists
+# irreducibility: Rabin's test, and the cached lists by Berlekamp's test
 
 def _prime_factors(n: int) -> list:
     out = []
@@ -304,18 +304,120 @@ def is_irreducible(f: Poly) -> bool:
     return h == t
 
 
-@lru_cache(maxsize=None)
-def irreducible_polys(field: FieldSpec, d: int) -> tuple:
-    """All monic irreducibles of degree d, in enumeration order, by Rabin's test.
+# Largest block of remainder bases, in entries, built at once by the Berlekamp
+# test.  At 2^16 the blocks' temporaries raised the peak RSS of the identity
+# benchmark ops by 1 MB.  At 2^12 and 2^13 the peak moved by no more than the
+# 0.35 MB by which the heap layout varies from build to build, and 2^13 saved
+# only 4% of the wall time.
+_BERLEKAMP_BLOCK = 1 << 12
 
-    This is the reference that `irreducible_codes` is tested against, and the
-    degree-d list of the character sum S.
+
+def _batched_ops(field: FieldSpec):
+    """comb(a, x, b, y) = a x - b y and vecmat(h, A) = h A over F_q, elementwise
+    and per row, on int64 arrays of element codes."""
+    if field.k == 1:
+        p = field.p
+        comb = lambda a, x, b, y: (a * x - b * y) % p  # noqa: E731
+        vecmat = lambda h, A: (h[:, None, :] @ A)[:, 0] % p  # noqa: E731
+        return comb, vecmat
+    mul, add = field.mul_table, field.add_table
+    neg = negate(field, np.arange(field.q, dtype=np.int64))
+
+    def comb(a, x, b, y):
+        return add[mul[a, x], neg[mul[b, y]]]
+
+    def vecmat(h, A):
+        acc = np.zeros_like(h)
+        for i in range(h.shape[1]):
+            acc = add[acc, mul[h[:, i, None], A[:, i]]]
+        return acc
+
+    return comb, vecmat
+
+
+def _nullity_one(field: FieldSpec, Q: np.ndarray) -> np.ndarray:
+    """rank(Q_f - I) == d - 1 for each d x d matrix Q_f of Q, by fraction-free
+    Gaussian elimination over F_q, one column of every matrix per step."""
+    N, d, _ = Q.shape
+    comb, _ = _batched_ops(field)
+    M = comb(1, Q, 1, np.eye(d, dtype=np.int64))
+    rows = np.arange(N)
+    free = np.ones((N, d), dtype=bool)  # rows not yet used as a pivot
+    rank = np.zeros(N, dtype=np.int64)
+    for c in range(d):
+        nonzero = (M[:, :, c] != 0) & free
+        has = nonzero.any(axis=1)
+        piv = nonzero.argmax(axis=1)
+        pivot_row = M[rows, piv]
+        # every row r becomes pivot * r - r[c] * pivot_row, which clears column
+        # c off the free rows and keeps their span; the pivot row itself becomes
+        # zero and is never read again, and a matrix without a pivot is unchanged
+        scale = np.where(has, pivot_row[:, c], 1)
+        factor = np.where(has[:, None], M[:, :, c], 0)
+        M = comb(scale[:, None, None], M, factor[:, :, None], pivot_row[:, None, :])
+        free[rows[has], piv[has]] = False
+        rank += has
+    return rank == d - 1
+
+
+def _fixes_t(field: FieldSpec, Q: np.ndarray, t_row: np.ndarray) -> np.ndarray:
+    """t Q_f^d == t for each Q_f of Q, given the coefficient row of t mod f:
+    that is, t^(q^d) = t mod f."""
+    _, vecmat = _batched_ops(field)
+    h = t_row
+    for _ in range(Q.shape[1]):
+        h = vecmat(h, Q)
+    return (h == t_row).all(axis=1)
+
+
+def _berlekamp_irreducible(field: FieldSpec, G: np.ndarray) -> np.ndarray:
+    """Berlekamp's test on the monics t^d + g_{d-1} t^{d-1} + ... + g_0, one per
+    row of G: a boolean mask of the irreducible ones.
+
+    Row i of the Frobenius matrix Q_f is t^(iq) mod f.  h -> h^q is F_q-linear
+    on F_q[t]/(f), since every coefficient is fixed by it, and the nullity of
+    Q_f - I counts the distinct irreducible factors of f, squarefree or not.
+    So f is irreducible or a proper power w^e when the rank is d - 1, and
+    t^(q^d) = t mod f then rules out w^e: f divides t^(q^d) - t, which is
+    squarefree.
+    """
+    d = G.shape[1]
+    bases = remainder_bases(field, G, max(1, field.q * (d - 1)))
+    Q = bases[:, : field.q * (d - 1) + 1 : field.q]
+    keep = np.flatnonzero(_nullity_one(field, Q))
+    keep = keep[_fixes_t(field, Q[keep], bases[keep, 1])]
+    irreducible = np.zeros(len(G), dtype=bool)
+    irreducible[keep] = True
+    return irreducible
+
+
+@lru_cache(maxsize=None)
+def irreducible_rows(field: FieldSpec, d: int) -> np.ndarray:
+    """Coefficient rows (c_0, ..., c_{d-1}) of the monic irreducibles of degree
+    d, in `enumerate_monic` order, as a read-only int64 array, by a batched
+    Berlekamp test over all q^d monics.
+
+    The census sieve (`irreducible_codes`) and Rabin's test (`is_irreducible`)
+    list the same polynomials by other tests; the tests compare all three.
     """
     if d < 1:
-        return ()
-    if d == 1:
-        return tuple(Poly(field, (c, 1)) for c in field.elements())
-    return tuple(f for f in enumerate_monic(field, d) if is_irreducible(f))
+        return np.zeros((0, 0), dtype=np.int64)
+    q = field.q
+    # the bases of one monic hold at most (q (d-1) + 2) d entries
+    step = max(1, _BERLEKAMP_BLOCK // ((q * (d - 1) + 2) * d))
+    found = []
+    for lo in range(0, q**d, step):
+        # enumeration order puts c_0 most significant
+        G = digits(np.arange(lo, min(lo + step, q**d), dtype=np.int64), q, d)[:, ::-1]
+        found.append(G[_berlekamp_irreducible(field, G)])
+    rows = np.concatenate(found)
+    rows.flags.writeable = False
+    return rows
+
+
+def irreducible_polys(field: FieldSpec, d: int) -> tuple:
+    """All monic irreducibles of degree d as `Poly`, in enumeration order."""
+    return tuple(Poly(field, row + [1]) for row in irreducible_rows(field, d).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from ffdigits.charsum import (
 )
 from ffdigits.circle import farey_enumerate
 from ffdigits.field import get_field, prime_power
-from ffdigits.laurent import RationalPoint, frac_digits
-from ffdigits.polys import Poly, poly_gcd, prime_count
+from ffdigits.laurent import RationalPoint, e_q_of, frac_digits
+from ffdigits.polys import Poly, enumerate_monic, is_irreducible, poly_gcd, prime_count
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -158,6 +158,24 @@ def test_batched_kernels_match_row_by_row(q):
         for x, s_val, s_r_val in zip(points, s_rows, s_r_rows):
             assert abs(s_val - s_at(field, n, x)) < 1e-9
             assert abs(s_r_val - s_r_definitional(R, n, x)) < 1e-9
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_s_at_window_matches_definition_without_polys(q, monkeypatch):
+    field = get_field(*prime_power(q))
+    points = list(islice(farey_enumerate(field, 2), 40))[::4]
+    n = 3
+    irreducibles = [f for f in enumerate_monic(field, n) if is_irreducible(f)]
+    expected = [sum(e_q_of(f, x) for f in irreducibles) for x in points]
+    batch = np.array([frac_digits(x, n + 1) for x in points], dtype=np.int64)
+    s_at_window(field, n, batch)  # the list of degree n is built once, then read
+
+    def banned(*args):
+        raise AssertionError("S built a Poly")
+
+    monkeypatch.setattr(Poly, "__init__", banned)
+    for value, want in zip(s_at_window(field, n, batch), expected):
+        assert abs(value - want) < 1e-9
 
 
 def test_s_at_trivial_bound():

@@ -125,7 +125,7 @@ def _arcs_tile_by_loop(field, n):
 )
 def test_arc_partition(field, n):
     assert arc_partition_check(field, n)
-    # the loop takes ~0.25 ms per (point, arc) pair, so it runs on the small levels
+    # the loop takes ~0.025 ms per (point, arc) pair, so it runs on the small levels
     if field.q**n * len(list(farey_enumerate(field, n // 2))) <= 3000:
         assert _arcs_tile_by_loop(field, n)
 

@@ -145,6 +145,24 @@ def test_workers_env(capsys, monkeypatch):
     assert out == out2
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "0"])
+def test_workers_env_must_be_positive(capsys, monkeypatch, value):
+    monkeypatch.setenv("FFDIGITS_WORKERS", value)
+    for argv in (("count", "--q", "3", "--n", "4"), ("scan", "--q", "3", "--n", "2:3"), ("verify",)):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert f"FFDIGITS_WORKERS: expected a positive integer, got '{value}'" in err
+        assert "pass" not in out
+
+
+@pytest.mark.parametrize("value", ["-2", "0"])
+def test_workers_flag_must_be_positive(capsys, value):
+    code, out, err = run(capsys, "count", "--q", "3", "--n", "4", "--workers", value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"--workers: expected a positive integer, got '{value}'" in err
+
+
 def test_parser_subcommands():
     parser = build_parser()
     args = parser.parse_args(["scan", "--q", "5", "--n", "2:6"])

@@ -1,3 +1,6 @@
+from functools import lru_cache
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +14,7 @@ from ffdigits.polys import (
     int_mobius,
     irreducible_codes,
     irreducible_polys,
+    irreducible_rows,
     is_irreducible,
     mobius,
     poly_gcd,
@@ -120,14 +124,21 @@ def test_irreducible_count_matches_formula(field, n):
     assert count == prime_count(field.q, n)
 
 
+LIST_GRID = [(F2, 8), (F3, 5), (F4, 4), (F5, 4), (F7, 3), (F8, 3), (F9, 3)]
+
+
+@lru_cache(maxsize=None)
+def rabin(field, d):
+    """The monic irreducibles of degree d by Rabin's test, in enumeration order."""
+    return tuple(f for f in enumerate_monic(field, d) if is_irreducible(f))
+
+
 def test_irreducible_list_cached():
     assert irreducible_polys(F2, 2) == (P(F2, 1, 1, 1),)
     assert len(irreducible_polys(F3, 2)) == 3
 
 
-@pytest.mark.parametrize(
-    "field,d_max", [(F2, 8), (F3, 5), (F4, 4), (F5, 4), (F7, 3), (F8, 3), (F9, 3)]
-)
+@pytest.mark.parametrize("field,d_max", LIST_GRID)
 def test_sieve_lists_and_bases_match_rabin(field, d_max, monkeypatch):
     def banned(*args):
         raise AssertionError("the sieve built a Poly or ran Rabin's test")
@@ -139,15 +150,85 @@ def test_sieve_lists_and_bases_match_rabin(field, d_max, monkeypatch):
         codes = [irreducible_codes(field, d) for d in range(d_max + 1)]
     assert codes[0].shape == (0, 0)
     for d in range(1, d_max + 1):
-        rabin = irreducible_polys(field, d)
-        assert codes[d].tolist() == [list(g.coeffs[:-1]) for g in rabin]
+        assert codes[d].tolist() == [list(g.coeffs[:-1]) for g in rabin(field, d)]
         assert not codes[d].flags.writeable
         bases = remainder_bases(field, codes[d], 2 * d + 1)
-        for g, basis in zip(rabin, bases):
+        for g, basis in zip(rabin(field, d), bases):
             for j, row in enumerate(basis):
                 r = Poly.t(field, j) % g
                 assert row.tolist() == [r[i] for i in range(d)]
             assert (remainder_basis(g, 2 * d + 1) == basis).all()
+
+
+@pytest.fixture
+def fresh_berlekamp_lists():
+    """Every Berlekamp list is built inside the test and none outlives it."""
+    irreducible_rows.cache_clear()
+    yield
+    irreducible_rows.cache_clear()
+
+
+def _ban_rabin_and_poly(m):
+    def banned(*args, **kwargs):
+        raise AssertionError("the Berlekamp list built a Poly or ran Rabin's test")
+
+    m.setattr(polys, "Poly", banned)
+    m.setattr(polys, "is_irreducible", banned)
+    for op in ("__add__", "__sub__", "__mul__", "__divmod__", "__mod__"):
+        m.setattr(Poly, op, banned)
+
+
+@pytest.mark.parametrize("field,d_max", LIST_GRID)
+def test_berlekamp_rows_match_rabin_and_sieve(field, d_max, monkeypatch, fresh_berlekamp_lists):
+    with monkeypatch.context() as m:
+        _ban_rabin_and_poly(m)
+        rows = [irreducible_rows(field, d) for d in range(d_max + 1)]
+    assert rows[0].shape == (0, 0)
+    for d in range(1, d_max + 1):
+        assert rows[d].dtype == np.int64 and not rows[d].flags.writeable
+        assert rows[d].tolist() == [list(f.coeffs[:-1]) for f in rabin(field, d)]
+        assert np.array_equal(rows[d], irreducible_codes(field, d))
+        assert irreducible_polys(field, d) == rabin(field, d)
+    assert irreducible_polys(field, 0) == ()
+
+
+# proper powers w^e: one distinct irreducible factor, so nullity 1, but not squarefree
+POWERS = [
+    (F2, (1, 0, 1)),  # (t+1)^2
+    (F2, (1, 0, 1, 0, 1)),  # (t^2+t+1)^2
+    (F2, (0, 0, 0, 0, 1)),  # t^4
+    (F3, (0, 0, 1)),  # t^2
+    (F3, (1, 0, 0, 1)),  # (t+1)^3
+]
+
+
+@pytest.mark.parametrize("field,coeffs", POWERS)
+def test_berlekamp_excludes_proper_powers(field, coeffs, fresh_berlekamp_lists):
+    d = len(coeffs) - 1
+    G = np.array([coeffs[:-1]], dtype=np.int64)
+    bases = remainder_bases(field, G, field.q * (d - 1))
+    Q = bases[:, :: field.q]
+    assert polys._nullity_one(field, Q).tolist() == [True]
+    assert polys._fixes_t(field, Q, bases[:, 1]).tolist() == [False]
+    assert polys._berlekamp_irreducible(field, G).tolist() == [False]
+    assert list(coeffs[:-1]) not in irreducible_rows(field, d).tolist()
+
+
+@pytest.mark.parametrize("field,d", [(F2, 2), (F2, 4), (F3, 2), (F3, 3), (F4, 2)])
+def test_berlekamp_needs_the_frobenius_condition(field, d, monkeypatch, fresh_berlekamp_lists):
+    # without t^(q^d) = t mod f the rank test also passes every proper power w^e
+    powers = set()
+    for e in range(2, d + 1):
+        if d % e == 0:
+            for w in rabin(field, d // e):
+                f = Poly.one(field)
+                for _ in range(e):
+                    f = f * w
+                powers.add(f.coeffs[:-1])
+    monkeypatch.setattr(polys, "_fixes_t", lambda field, Q, t_row: np.ones(len(Q), dtype=bool))
+    rows = {tuple(row) for row in irreducible_rows(field, d).tolist()}
+    irreducible = {f.coeffs[:-1] for f in rabin(field, d)}
+    assert powers and irreducible <= rows and rows - irreducible == powers
 
 
 def test_sieve_tables_build_bases_in_blocks(monkeypatch):
