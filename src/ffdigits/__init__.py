@@ -7,7 +7,7 @@ from .checks import CheckResult, run_check
 from .circle import PredictorParams, main_term, orthogonality_count, predictor
 from .field import FieldSpec, get_field
 from .laurent import RationalPoint, frac_digits
-from .polys import Poly, euler_phi, factorize, is_irreducible, mobius, prime_count
+from .polys import Poly, euler_phi, is_irreducible, mobius, prime_count
 
 __all__ = [
     "CensusReport",
@@ -19,7 +19,6 @@ __all__ = [
     "RestrictedSet",
     "count_restricted",
     "euler_phi",
-    "factorize",
     "frac_digits",
     "get_field",
     "is_irreducible",

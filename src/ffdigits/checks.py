@@ -33,7 +33,7 @@ from .circle import (
 )
 from .field import get_field, prime_power
 from .laurent import RationalPoint
-from .polys import Poly, enumerate_monic, euler_phi, mobius, prime_count
+from .polys import Poly, enumerate_monic, prime_count
 
 MAX_WITNESSES = 10
 
@@ -76,6 +76,8 @@ class _Recorder:
             self.violations.append((margin, witness))
 
     def result(self, check_id: str, params: dict, started: float) -> CheckResult:
+        if not self.cases:
+            raise ValueError(f"{check_id}: the parameters select no case")
         worst = sorted(self.violations, key=lambda mv: -mv[0])[:MAX_WITNESSES]
         return CheckResult(
             check_id=check_id,
@@ -360,16 +362,12 @@ def check_lemma1(q=3, ns=(4, 5, 6)):
     started = time.perf_counter()
     rec = _Recorder()
     field = get_field(*prime_power(q))
-    mu_phi = {}  # one factorization per denominator, not per point
     for n in ns:
         for x in farey_enumerate(field, n // 2):
-            g = x.g.monic()
-            if g not in mu_phi:
-                mu_phi[g] = (mobius(g), euler_phi(g))
             # the widest offset 1/t^k inside the arc
             edge = RationalPoint(Poly.one(field), Poly.t(field, arc_exponent(x.g.degree, n) + 1))
             for gamma in (None, edge):
-                rep = lemma1_error(x.a, x.g, gamma, n, mu_phi[g])
+                rep = lemma1_error(x.a, x.g, gamma, n)
                 rec.record(
                     rep.ok,
                     abs(rep.error) - rep.bound,
@@ -391,7 +389,9 @@ def check_lemma5(qs=(2, 3), d_max=6):
     rec = _Recorder()
     for q in qs:
         field = get_field(*prime_power(q))
-        for d in range(1, d_max + 1):
+        # largest degree first, so a grid past the divisor sieve's bound fails
+        # before any work
+        for d in range(d_max, 0, -1):
             for g in enumerate_monic(field, d):
                 ratio, bound = lemma5_ratio(g)
                 rec.record(

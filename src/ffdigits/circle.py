@@ -18,10 +18,12 @@ from .polys import (
     Poly,
     enumerate_monic,
     euler_phi,
-    factorize,
+    irreducible_rows,
     mobius,
     poly_gcd,
     prime_count,
+    prime_divisors,
+    remainder_bases,
     remainder_basis,
 )
 
@@ -108,8 +110,9 @@ def farey_windows(
 
     The digit x_{-j} of a/g is the t^(d-1) coefficient of t^(j-1) a mod g, so a
     Hankel matrix H_g maps the coefficient row of a to its window.  A numerator
-    is coprime to g exactly when its remainder mod each irreducible factor of g
-    is nonzero.  `farey_enumerate` with `frac_digits` is the reference.
+    is coprime to g exactly when its remainder mod each irreducible divisor of g
+    (`prime_divisors`) is nonzero.  `farey_enumerate` with `frac_digits` is the
+    reference.
     """
     if m < 1:
         raise ValueError("window length must be >= 1")
@@ -132,14 +135,17 @@ def farey_windows(
     for d in range(max(d_min, 1), d_max + 1):
         numer = np.arange(1, q**d, dtype=np.int64)
         A = digits(numer, q, d)  # coefficient rows of every nonzero numerator
-        nonzero_mod = {}  # irreducible w -> (a mod w != 0) for every numerator a
-        for g in enumerate_monic(field, d):
+        start, deg_w, w_row = prime_divisors(field, d)
+        bases = [remainder_bases(field, irreducible_rows(field, e), d - 1) for e in range(d + 1)]
+        nonzero_mod = {}  # (deg w, row of w) -> (a mod w != 0) for every numerator a
+        for j, g in enumerate(enumerate_monic(field, d)):
             if exclude_t_powers and not any(g.coeffs[:-1]):
                 continue
             coprime = np.ones(len(A), dtype=bool)
-            for w, _ in factorize(g).factors:
+            pairs = slice(start[j], start[j + 1])
+            for w in zip(deg_w[pairs].tolist(), w_row[pairs].tolist()):
                 if w not in nonzero_mod:
-                    nonzero_mod[w] = matmul(field, A, remainder_basis(w, d - 1)).any(axis=1)
+                    nonzero_mod[w] = matmul(field, A, bases[w[0]][w[1]]).any(axis=1)
                 coprime &= nonzero_mod[w]
             h = remainder_basis(g, d + m - 2)[:, d - 1]  # h[k] = [t^(d-1)] (t^k mod g)
             hankel = h[np.arange(d)[:, None] + np.arange(m)]
@@ -206,12 +212,11 @@ class PointErrorReport:
         return abs(self.error) <= self.bound + 1e-9
 
 
-def lemma1_error(a: Poly, g: Poly, gamma, n: int, mu_phi=None) -> PointErrorReport:
+def lemma1_error(a: Poly, g: Poly, gamma, n: int) -> PointErrorReport:
     """Split S(a/g + gamma) into its major-arc main term and the remainder.
 
     The remainder is checked against the square-root cancellation bound
-    q^(n - floor(n/2)/2).  `mu_phi` is (mobius, euler_phi) of the monic g, if
-    the caller already has it.
+    q^(n - floor(n/2)/2).
     """
     field = g.field
     if gamma is None:
@@ -224,13 +229,11 @@ def lemma1_error(a: Poly, g: Poly, gamma, n: int, mu_phi=None) -> PointErrorRepo
     if not gamma.norm_less_than(-arc_exponent(g.degree, n)):
         raise ValueError("gamma outside the arc radius")
     q = field.q
-    if mu_phi is None:
-        mu_phi = (mobius(g.monic()), euler_phi(g.monic()))
-    mu, phi = mu_phi
+    mu = mobius(g.monic())
     main = 0j
     if mu != 0 and gamma.norm_less_than(-n):
         main = (
-            Fraction(mu, phi)
+            Fraction(mu, euler_phi(g.monic()))
             * prime_count(field, n)
             * 1.0
             * e_q_of(Poly.t(field, n), gamma)

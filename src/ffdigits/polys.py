@@ -1,5 +1,5 @@
 """The ring F_q[t]: arithmetic, gcd, irreducibility, the remainder-code sieve,
-factorization and counting.
+the divisor sieve with Mobius and totient, and counting.
 
 Polynomials are immutable dense coefficient tuples (ascending powers of t) of
 field element codes.  The zero polynomial is the empty tuple with degree -1.
@@ -7,7 +7,6 @@ field element codes.  The zero polynomial is the empty tuple with degree -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -42,10 +41,6 @@ class Poly:
     @classmethod
     def t(cls, field, power: int = 1):
         return cls(field, (0,) * power + (1,))
-
-    @classmethod
-    def constant(cls, field, c: int):
-        return cls(field, (c,))
 
     # -- basic queries -------------------------------------------------------
 
@@ -149,14 +144,6 @@ class Poly:
         if self.is_zero or self.is_monic:
             return self
         return self.scale(self.field.inv(self.leading))
-
-    def derivative(self) -> "Poly":
-        F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            scalar = i % F.p  # prime-subfield scalar has code i mod p
-            out.append(F.mul(scalar, self.coeffs[i]))
-        return Poly(F, out)
 
     def __call__(self, x: int) -> int:
         F = self.field
@@ -514,134 +501,87 @@ def irreducible_codes(field: FieldSpec, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# factorization
+# the divisor sieve: Mobius and totient
 
-@dataclass(frozen=True)
-class Factorization:
-    field: "FieldSpec"
-    unit: int  # field element code
-    factors: tuple  # ((Poly, multiplicity), ...) sorted by (degree, coeffs)
-
-    def reassemble(self) -> Poly:
-        out = Poly.constant(self.field, self.unit)
-        for w, m in self.factors:
-            for _ in range(m):
-                out = out * w
-        return out
+# Most monics q^d of one degree whose divisors `prime_divisors` lists.  It
+# admits every default check and q in {2, 3} up to degree 9.
+_DIVISOR_LIMIT = 1 << 15
 
 
-def _pth_root(f: Poly) -> Poly:
-    # f with zero derivative is g(t^p); coefficient p-th root is c^(q/p)
-    F = f.field
-    e = F.q // F.p
-    return Poly(F, (F.pow(f[i * F.p], e) for i in range(f.degree // F.p + 1)))
+@lru_cache(maxsize=1)
+def prime_divisors(field: FieldSpec, d: int) -> tuple:
+    """Every pair (g, w) of a monic g of degree d and a monic irreducible w that
+    divides it, as read-only int64 arrays (start, e, w): the pairs of the j-th
+    monic in `enumerate_monic` order are start[j]:start[j+1], each with e = deg w
+    and w the row of w in `irreducible_rows(field, e)`, sorted by (e, w).
 
-
-def _equal_degree_split(f: Poly, d: int) -> list:
-    """Split a monic product of distinct degree-d irreducibles.
-
-    Trial elements come from a counter so runs are reproducible.
+    A multiplicative sieve: the products w h over the q^(d-e) monic h of degree
+    d - e are the multiples of w of degree d, and one matmul of the h rows with
+    the banded Toeplitz matrices of the w rows forms them for every w of degree
+    e.  The cache keeps one degree, since the checks walk g by degree.
     """
-    if f.degree == d:
-        return [f]
-    F = f.field
-    one = Poly.one(F)
-    counter = F.q  # first trial of degree >= 1
-    while True:
-        # the polynomial with code `counter`; it has at most bit_length digits
-        r = Poly(F, digits(counter, F.q, counter.bit_length())) % f
-        counter += 1
-        if r.degree < 1:
-            continue
-        if F.p == 2:
-            m = d * F.k
-            s, acc = r, r
-            for _ in range(m - 1):
-                s = (s * s) % f
-                acc = acc + s
-            g = poly_gcd(acc, f)
-        else:
-            g = poly_gcd(pow_mod(r, (F.q**d - 1) // 2, f) - one, f)
-        if 0 < g.degree < f.degree:
-            return _equal_degree_split(g, d) + _equal_degree_split(f // g, d)
-
-
-def _factor_squarefree(f: Poly) -> list:
-    """Distinct-degree then equal-degree factorization of a monic squarefree f."""
-    out = []
-    F = f.field
-    t = Poly.t(F)
-    h = t
-    d = 0
-    while f.degree > 0:
-        d += 1
-        if 2 * d > f.degree:
-            out.append(f)
-            break
-        h = pow_mod(h, F.q, f)
-        g = poly_gcd(h - t, f)
-        if g.degree > 0:
-            out.extend(_equal_degree_split(g, d))
-            f = f // g
-            h = h % f
+    q = field.q
+    if q**d > _DIVISOR_LIMIT:
+        raise ValueError(
+            f"the divisor sieve over the {q}^{d} monics of degree {d} "
+            f"exceeds its bound of {_DIVISOR_LIMIT}"
+        )
+    weights = q ** np.arange(d - 1, -1, -1, dtype=np.int64)  # c_0 most significant
+    g, e, w = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
+    for k in range(1, d + 1):
+        W = irreducible_rows(field, k)
+        m = d - k
+        H = np.concatenate(
+            [digits(np.arange(q**m, dtype=np.int64), q, m), np.ones((q**m, 1), dtype=np.int64)],
+            axis=1,
+        )  # (h_0, ..., h_{m-1}, 1) of every monic h of degree m
+        T = np.zeros((m + 1, len(W), d + 1), dtype=np.int64)
+        for i in range(m + 1):
+            T[i, :, i : i + k] = W  # row i is t^i w
+            T[i, :, i + k] = 1
+        products = matmul(field, H, T.reshape(m + 1, -1)).reshape(q**m, len(W), d + 1)
+        g.append((products[:, :, :d] @ weights).ravel())
+        e.append(np.full(g[-1].size, k, dtype=np.int64))
+        w.append(np.tile(np.arange(len(W), dtype=np.int64), q**m))
+    g, e, w = (np.concatenate(x) for x in (g, e, w))
+    order = np.lexsort((w, e, g))
+    start = np.concatenate([[0], np.cumsum(np.bincount(g, minlength=q**d))])
+    out = (start, e[order], w[order])
+    for x in out:
+        x.flags.writeable = False
     return out
 
 
-def factorize(f: Poly) -> Factorization:
-    """Full factorization into monic irreducibles times a unit."""
-    if f.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    unit = f.leading
-    factors = {}
-
-    def work(g: Poly, mult: int):
-        if g.degree < 1:
-            return
-        dg = g.derivative()
-        if dg.is_zero:
-            work(_pth_root(g), mult * f.field.p)
-            return
-        squarefree = g // poly_gcd(g, dg)
-        for w in _factor_squarefree(squarefree):
-            m = 0
-            while True:
-                quo, rem = divmod(g, w)
-                if not rem.is_zero:
-                    break
-                g = quo
-                m += 1
-            factors[w] = factors.get(w, 0) + mult * m
-        if g.degree > 0:
-            work(g, mult)  # leftover is a p-th power
-
-    work(f.monic(), 1)
-    ordered = tuple(sorted(factors.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs)))
-    return Factorization(field=f.field, unit=unit, factors=ordered)
+def _divisor_degrees(f: Poly) -> list:
+    """The degrees of the distinct monic irreducible divisors of f."""
+    if not f.is_monic:
+        raise ValueError("need a monic polynomial")
+    j = 0
+    for c in f.coeffs[:-1]:
+        j = j * f.field.q + c
+    start, e, _ = prime_divisors(f.field, f.degree)
+    return e[start[j] : start[j + 1]].tolist()
 
 
 def mobius(f: Poly) -> int:
-    """(-1)^(number of distinct irreducible factors) if squarefree, else 0."""
-    if not f.is_monic:
-        raise ValueError("mobius is defined for monic polynomials")
-    if f.degree == 0:
-        return 1
-    fac = factorize(f)
-    if any(m > 1 for _, m in fac.factors):
+    """(-1)^(number of distinct irreducible factors) if squarefree, else 0.
+
+    f is squarefree exactly when the degrees of its distinct irreducible
+    divisors sum to deg f.
+    """
+    degs = _divisor_degrees(f)
+    if sum(degs) != f.degree:
         return 0
-    return -1 if len(fac.factors) % 2 else 1
+    return -1 if len(degs) % 2 else 1
 
 
 def euler_phi(f: Poly) -> int:
-    """Size of (F_q[t]/(f))^x, exactly: |f| * prod over factors (1 - 1/|w|)."""
-    if not f.is_monic:
-        raise ValueError("euler_phi is defined for monic polynomials")
-    if f.degree == 0:
-        return 1
+    """Size of (F_q[t]/(f))^x, exactly: |f| * prod over divisors w (1 - 1/|w|)."""
     q = f.field.q
-    out = 1
-    for w, m in factorize(f).factors:
-        d = w.degree
-        out *= q ** (d * (m - 1)) * (q**d - 1)
+    degs = _divisor_degrees(f)
+    out = q ** (f.degree - sum(degs))
+    for e in degs:
+        out *= q**e - 1
     return out
 
 

@@ -113,6 +113,31 @@ def test_verify_rejects_flags_no_check_takes(capsys, monkeypatch):
     assert code == EXIT_OK and "pass" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lemma2", "--n", "0"),
+        ("corollary1", "--n", "0"),
+        ("corollary2", "--n", "0"),
+        ("lemma4", "--n", "1"),
+        ("lemma6", "--q", "2"),
+        ("lemma5", "--d-max", "-3"),
+    ],
+)
+def test_verify_rejects_parameters_that_select_no_case(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == EXIT_USAGE
+    assert f"{argv[0]}: the parameters select no case" in err
+    assert "pass" not in out
+
+
+def test_verify_refuses_denominators_past_the_divisor_sieve_bound(capsys):
+    code, out, err = run(capsys, "verify", "lemma5", "--d-max", "40")
+    assert code == EXIT_USAGE
+    assert "exceeds its bound" in err
+    assert "pass" not in out
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "lemma99")
     assert code == EXIT_USAGE

@@ -10,7 +10,6 @@ from ffdigits.polys import (
     Poly,
     enumerate_monic,
     euler_phi,
-    factorize,
     int_mobius,
     irreducible_codes,
     irreducible_polys,
@@ -20,6 +19,7 @@ from ffdigits.polys import (
     poly_gcd,
     pow_mod,
     prime_count,
+    prime_divisors,
     remainder_bases,
     remainder_basis,
 )
@@ -251,49 +251,58 @@ def test_sieve_tables_build_bases_in_blocks(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# factorization, mobius, phi
+# the divisor sieve, mobius, phi
 
-def test_factor_t3_plus_1_over_f2():
-    fac = factorize(P(F2, 1, 0, 0, 1))
-    assert [(w.coeffs, m) for w, m in fac.factors] == [((1, 1), 1), ((1, 1, 1), 1)]
-
-
-def test_factor_irreducible_and_powers():
-    fac = factorize(P(F2, 1, 1, 1))
-    assert fac.factors == ((P(F2, 1, 1, 1), 1),)
-    fac = factorize(P(F3, 0, 0, 1))
-    assert fac.factors == ((P(F3, 0, 1), 2),)
-
-
-def test_factor_with_unit():
-    fac = factorize(P(F5, 0, 0, 3))
-    assert fac.unit == 3
-    assert fac.reassemble() == P(F5, 0, 0, 3)
-
-
-def test_factor_pth_power():
-    # (t + 1)^4 over F_2 has zero derivative twice over
-    f = P(F2, 1, 1) * P(F2, 1, 1) * P(F2, 1, 1) * P(F2, 1, 1)
-    fac = factorize(f)
-    assert fac.factors == ((P(F2, 1, 1), 4),)
+def _trial_division(f):
+    """{(deg w, coefficient rows of w): multiplicity} over the monic irreducible
+    divisors w of f, by trial division with Rabin's lists."""
+    out = {}
+    e = 1
+    while 2 * e <= f.degree:
+        for w in rabin(f.field, e):
+            quo, rem = divmod(f, w)
+            while rem.is_zero:
+                key = (e, w.coeffs[:-1])
+                out[key] = out.get(key, 0) + 1
+                f = quo
+                quo, rem = divmod(f, w)
+        e += 1
+    # what is left has no divisor of degree <= half its own, so it is irreducible
+    if f.degree > 0:
+        assert f in rabin(f.field, f.degree)
+        out[(f.degree, f.coeffs[:-1])] = 1
+    return out
 
 
-@settings(max_examples=40, deadline=None)
-@given(random_poly(F4, 6))
-def test_factorize_reassembles_and_verifies(f):
-    if f.is_zero:
-        return
-    fac = factorize(f)
-    assert fac.reassemble() == f
-    for w, m in fac.factors:
-        assert m >= 1
-        assert w.is_monic
-        assert is_irreducible(w)
+@pytest.mark.parametrize(
+    "field,d_max", [(F2, 6), (F3, 5), (F4, 4), (F5, 3), (F8, 3), (F9, 3)]
+)
+def test_divisor_sieve_matches_trial_division(field, d_max, fresh_berlekamp_lists):
+    q = field.q
+    for d in range(d_max + 1):
+        start, e, w = prime_divisors(field, d)
+        assert len(start) == q**d + 1 and not start.flags.writeable
+        for j, f in enumerate(enumerate_monic(field, d)):
+            divisors = _trial_division(f)
+            pairs = range(start[j], start[j + 1])
+            assert [(e[i], tuple(irreducible_rows(field, e[i])[w[i]])) for i in pairs] == sorted(
+                divisors
+            )
+            squarefree = all(m == 1 for m in divisors.values())
+            assert mobius(f) == ((-1) ** len(divisors) if squarefree else 0)
+            phi = 1
+            for (deg, _), m in divisors.items():
+                phi *= q ** (deg * (m - 1)) * (q**deg - 1)
+            assert euler_phi(f) == phi
 
 
-def test_factorize_deterministic():
-    f = P(F5, 1, 0, 0, 0, 1, 1)
-    assert factorize(f) == factorize(f)
+def test_divisor_sieve_refuses_past_its_bound(monkeypatch):
+    def banned(*args):
+        raise AssertionError("built an irreducible list past the bound")
+
+    monkeypatch.setattr(polys, "irreducible_rows", banned)
+    with pytest.raises(ValueError, match="exceeds its bound"):
+        euler_phi(Poly.t(F2, 40))
 
 
 def test_mobius_examples():
