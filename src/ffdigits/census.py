@@ -18,7 +18,6 @@ import csv
 import json
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -114,6 +113,9 @@ def _check_sieve_budget(q: int, m: int, n: int, budget: int):
 
 def _pool_count(chunks, workers: int) -> int:
     """Sum of chunk counts, at most 2 * workers chunks in flight, read in chunk order."""
+    # imported here, so that a start that runs no pool does not load it
+    from concurrent.futures import ProcessPoolExecutor
+
     count = 0
     pending = deque()
     with ProcessPoolExecutor(max_workers=workers) as pool:

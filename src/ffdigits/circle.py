@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import RestrictedSet, local_factor, s_at, s_at_window, s_r_at
+from .charsum import RestrictedSet, local_factor, s_at_window, s_r_at
 from .field import FieldSpec, digits, matmul
-from .laurent import RationalPoint, e_q_of
+from .laurent import RationalPoint
 from .polys import (
     Poly,
     enumerate_monic,
@@ -34,9 +34,22 @@ class NumericalError(RuntimeError):
 
 ORTH_TOLERANCE = 1e-6
 # Largest (point x irreducible) array, in entries, built at once by the
-# orthogonality count.  At 2^15 the temporaries of one block added ~1 MB to the
-# peak RSS of a q=3, n=6 count; at 2^13 they add ~0.1 MB, at the same speed.
+# orthogonality count and lemma1.  At 2^15 the temporaries of one block added
+# ~1 MB to the peak RSS of a q=3, n=6 count; at 2^13 they add ~0.1 MB, at the
+# same speed.
 _BLOCK = 1 << 13
+# Most window entries (rows x window length) that `farey_windows` builds.  It
+# admits every default check (lemma6 at p = 7: ~10^5 rows x 9 digits) and
+# q <= 9 at deg g <= 3 with 9 digits.
+_WINDOW_LIMIT = 1 << 23
+
+
+def _row_blocks(field: FieldSpec, n: int, rows: int):
+    """Slices of `rows` rows, each row against every irreducible of degree n,
+    that hold at most `_BLOCK` entries and at least one row."""
+    step = max(1, _BLOCK // prime_count(field, n))
+    for lo in range(0, rows, step):
+        yield slice(lo, min(lo + step, rows))
 
 
 @dataclass(frozen=True)
@@ -112,13 +125,24 @@ def farey_windows(
     Hankel matrix H_g maps the coefficient row of a to its window.  A numerator
     is coprime to g exactly when its remainder mod each irreducible divisor of g
     (`prime_divisors`) is nonzero.  `farey_enumerate` with `frac_digits` is the
-    reference.
+    reference.  Refuses past `_WINDOW_LIMIT` entries before it builds anything:
+    the reduced a/g with deg g = d number q^(2d-1)(q-1), phi(t^d) of them with
+    g = t^d.
     """
     if m < 1:
         raise ValueError("window length must be >= 1")
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     q = field.q
+    rows = int(d_min <= 0 and not exclude_t_powers) + sum(
+        q ** (2 * d - 1) * (q - 1) - exclude_t_powers * (q**d - q ** (d - 1))
+        for d in range(max(d_min, 1), d_max + 1)
+    )
+    if rows * m > _WINDOW_LIMIT:
+        raise ValueError(
+            f"the {rows} Farey windows of length {m} exceed their bound of "
+            f"{_WINDOW_LIMIT} entries"
+        )
     gs = []
     g_index, codes, degs = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
     windows = [np.zeros((0, m), dtype=np.int64)]
@@ -199,48 +223,38 @@ def arc_partition_check(field: FieldSpec, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# error at a rational point against the major-arc main term
+# error at the arc centres against the major-arc main term
 
-@dataclass(frozen=True)
-class PointErrorReport:
-    main: complex
-    error: complex
-    bound: float
+def lemma1_errors(field: FieldSpec, n: int) -> tuple:
+    """S(a/g + gamma) against its major-arc main term at every centre a/g of
+    level n, for gamma = 0 and for the widest offset gamma = t^(-k) inside the
+    arc, k = arc_exponent(deg g, n) + 1.
 
-    @property
-    def ok(self) -> bool:
-        return abs(self.error) <= self.bound + 1e-9
-
-
-def lemma1_error(a: Poly, g: Poly, gamma, n: int) -> PointErrorReport:
-    """Split S(a/g + gamma) into its major-arc main term and the remainder.
-
-    The remainder is checked against the square-root cancellation bound
-    q^(n - floor(n/2)/2).
+    Returns (fw, main, error, bound): the centres as `farey_windows` rows, the
+    main terms and the errors S - main as (rows, 2) complex arrays, column 1 at
+    the offset, and the square-root cancellation bound q^(n - floor(n/2)/2).
+    Digits add without carries, so the window of a/g + t^(-k) is that of a/g
+    with x_{-k} raised by 1; deg g <= n/2 puts k <= n+1 inside the window.  The
+    main term mu(g)/phi(g) pi(n) e(t^n gamma) is present at gamma = 0, and at
+    the offset only when |gamma| < q^(-n), that is k = n+1, where
+    e(t^n gamma) = psi(1).
     """
-    field = g.field
-    if gamma is None:
-        gamma = RationalPoint.zero(field)
-    if poly_gcd(a, g) != Poly.one(field) and not a.is_zero:
-        raise ValueError("a and g must be coprime")
-    half_down = n // 2
-    if not (a.degree < g.degree or a.is_zero) or g.degree > half_down:
-        raise ValueError("need |a| < |g| <= q^(n/2)")
-    if not gamma.norm_less_than(-arc_exponent(g.degree, n)):
-        raise ValueError("gamma outside the arc radius")
-    q = field.q
-    mu = mobius(g.monic())
-    main = 0j
-    if mu != 0 and gamma.norm_less_than(-n):
-        main = (
-            Fraction(mu, euler_phi(g.monic()))
-            * prime_count(field, n)
-            * 1.0
-            * e_q_of(Poly.t(field, n), gamma)
-        )
-    total = s_at(field, n, RationalPoint(a, g) + gamma)
-    bound = q ** (n - half_down / 2)
-    return PointErrorReport(main=complex(main), error=total - main, bound=bound)
+    fw = farey_windows(field, 0, n // 2, n + 1)
+    pi = prime_count(field, n)
+    ratio = np.array([mobius(g) * pi / euler_phi(g) for g in fw.denominators])[fw.g_index]
+    k = arc_exponent(fw.degs, n) + 1
+    rows = np.arange(len(fw))
+    shifted = fw.windows.copy()
+    x = shifted[rows, k - 1]
+    shifted[rows, k - 1] = (x + 1) % field.p if field.k == 1 else field.add_table[x, 1]
+    # each centre, then its offset
+    windows = np.stack([fw.windows, shifted], axis=1).reshape(-1, n + 1)
+    S = np.concatenate(
+        [s_at_window(field, n, windows[b]) for b in _row_blocks(field, n, len(windows))]
+    ).reshape(-1, 2)
+    offset = np.where(k == n + 1, field.psi(1), 0)
+    main = ratio[:, None] * np.stack([np.ones(len(fw)), offset], axis=1)
+    return fw, main, S - main, field.q ** (n - n // 2 / 2)
 
 
 def lemma5_ratio(g: Poly):
@@ -334,10 +348,9 @@ def orthogonality_count(R: RestrictedSet, n: int) -> int:
     field = R.spec
     m = n + 1
     npoints = field.q**m
-    step = max(1, _BLOCK // prime_count(field, n))
     total = 0j
-    for lo in range(0, npoints, step):
-        codes = np.arange(lo, min(lo + step, npoints), dtype=np.int64)
+    for rows in _row_blocks(field, n, npoints):
+        codes = np.arange(rows.start, rows.stop, dtype=np.int64)
         window = digits(codes, field.q, m)[:, ::-1]  # window[:, j] = a_{n-j}
         total += (s_at_window(field, n, window) * s_r_at(R, n, window).conj()).sum()
     value = complex(total) / npoints

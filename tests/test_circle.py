@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ffdigits import circle, cli
+from ffdigits import circle, cli, laurent, polys
 from ffdigits.census import count_restricted
-from ffdigits.charsum import RestrictedSet
+from ffdigits.charsum import RestrictedSet, s_at
 from ffdigits.circle import (
     FareyArc,
     NumericalError,
@@ -15,15 +15,15 @@ from ffdigits.circle import (
     error_budget,
     farey_enumerate,
     farey_windows,
-    lemma1_error,
+    lemma1_errors,
     lemma5_ratio,
     main_term,
     orthogonality_count,
     predictor,
 )
 from ffdigits.field import FieldSpec, digits, get_field, prime_power
-from ffdigits.laurent import RationalPoint, frac_digits
-from ffdigits.polys import Poly, enumerate_monic, euler_phi, prime_count
+from ffdigits.laurent import RationalPoint, e_q_of, frac_digits
+from ffdigits.polys import Poly, enumerate_monic, euler_phi, mobius, prime_count
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -141,49 +141,101 @@ def test_arc_partition_fails_with_ceil_radius(monkeypatch):
 # ---------------------------------------------------------------------------
 # square-root cancellation at rational points
 
+def _row(fw, a, g):
+    """The row of the centre a/g in `farey_windows` output."""
+    return next(i for i in range(len(fw)) if fw.point(i) == RationalPoint(a, g))
+
+
 def test_lemma1_trivial_center():
-    rep = lemma1_error(Poly.zero(F3), Poly.one(F3), None, 4)
-    assert rep.main == prime_count(3, 4)
-    assert abs(rep.error) < 1e-9
-    assert rep.ok
+    fw, main, error, bound = lemma1_errors(F3, 4)
+    assert fw.point(0) == RationalPoint.zero(F3)
+    assert main[0, 0] == prime_count(3, 4)
+    assert abs(error[0, 0]) < 1e-9 <= bound
 
 
 def test_lemma1_linear_denominator():
-    rep = lemma1_error(Poly.one(F3), Poly(F3, (1, 1)), None, 4)
+    fw, main, error, bound = lemma1_errors(F3, 4)
+    i = _row(fw, Poly.one(F3), Poly(F3, (1, 1)))
     # mu(t+1)/phi(t+1) = -1/2 and pi(4) = 18
-    assert abs(rep.main + 9) < 1e-9
-    assert abs(rep.error) <= 27 + 1e-9
-    assert rep.ok
+    assert abs(main[i, 0] + 9) < 1e-9
+    assert bound == 27
+    assert abs(error[i, 0]) <= 27 + 1e-9
 
 
 def test_lemma1_squareful_denominator():
-    rep = lemma1_error(Poly.one(F3), Poly(F3, (0, 0, 1)), None, 4)
-    assert rep.main == 0
-    assert rep.ok
+    fw, main, error, bound = lemma1_errors(F3, 4)
+    i = _row(fw, Poly.one(F3), Poly(F3, (0, 0, 1)))
+    assert not main[i].any()
+    assert (abs(error[i]) <= bound + 1e-9).all()
 
 
 def test_lemma1_offset_indicator():
-    # |gamma| >= q^{-n} turns the main term off even for g = 1
+    # the offset t^(-k), k = deg g + n/2 + 1, turns the main term off unless
+    # |t^(-k)| < q^(-n): at n = 4 only for deg g = 2, where e(t^4 / t^5) = psi(1)
     n = 4
-    gamma_off = RationalPoint(Poly.one(F3), Poly.t(F3, 3))
-    rep = lemma1_error(Poly.zero(F3), Poly.one(F3), gamma_off, n)
-    assert rep.main == 0
-    gamma_on = RationalPoint(Poly.one(F3), Poly.t(F3, n + 1))
-    rep = lemma1_error(Poly.zero(F3), Poly.one(F3), gamma_on, n)
-    assert abs(abs(rep.main) - prime_count(3, n)) < 1e-9
+    fw, main, _, _ = lemma1_errors(F3, n)
+    assert main[0, 1] == 0  # g = 1, k = 3
+    i = _row(fw, Poly.one(F3), Poly(F3, (1, 0, 1)))  # t^2 + 1, irreducible over F_3
+    assert abs(main[i, 0] + prime_count(3, n) / 8) < 1e-12
+    assert abs(main[i, 1] - main[i, 0] * F3.psi(1)) < 1e-12
+    assert np.array_equal(main[:, 1] != 0, (fw.degs == 2) & (main[:, 0] != 0))
 
 
-def test_lemma1_precondition_errors():
-    with pytest.raises(ValueError):
-        lemma1_error(Poly.one(F3), Poly(F3, (1, 1, 1, 1)), None, 4)  # deg g > n/2
-    with pytest.raises(ValueError):
-        # gamma outside the arc radius q^{-(deg g + floor(n/2))}
-        gamma = RationalPoint(Poly.one(F3), Poly.t(F3))
-        lemma1_error(Poly.zero(F3), Poly.one(F3), gamma, 4)
-    # at odd n the radius is q^{-(deg g + floor(n/2))}: q^-2 for g = 1, n = 5
-    assert lemma1_error(Poly.zero(F3), Poly.one(F3), pt(F3, (1,), (0, 0, 0, 1)), 5).ok
-    with pytest.raises(ValueError, match="arc radius"):
-        lemma1_error(Poly.zero(F3), Poly.one(F3), pt(F3, (1,), (0, 0, 1)), 5)
+def _lemma1_by_definition(field, n, x, k):
+    """Margins |S(x + gamma) - main| - q^(n - floor(n/2)/2) at gamma = 0 and
+    gamma = t^(-k), from `s_at` and an exact mu/phi main term."""
+    bound = field.q ** (n - n // 2 / 2)
+    mu = mobius(x.g)
+    out = []
+    for gamma in (RationalPoint.zero(field), RationalPoint(Poly.one(field), Poly.t(field, k))):
+        main = 0j
+        if mu != 0 and gamma.norm_less_than(-n):
+            main = complex(
+                Fraction(mu, euler_phi(x.g)) * prime_count(field, n)
+            ) * e_q_of(Poly.t(field, n), gamma)
+        out.append(abs(s_at(field, n, x + gamma) - main) - bound)
+    return out
+
+
+@pytest.mark.parametrize(
+    "q,ns", [(2, range(2, 7)), (3, range(2, 7)), (4, range(2, 6)), (5, range(2, 6)), (9, (2, 3))]
+)
+def test_lemma1_errors_match_the_definition(monkeypatch, q, ns):
+    # extension fields, odd n, and at even n the offset k = n+1 with its psi(1)
+    field = get_field(*prime_power(q))
+
+    def banned(*args):
+        raise AssertionError("polynomial division on the batched path")
+
+    for n in ns:
+        with monkeypatch.context() as m:
+            m.setattr(Poly, "__divmod__", banned)
+            for module in (polys, circle, laurent):
+                m.setattr(module, "poly_gcd", banned)
+            fw, _, error, bound = lemma1_errors(field, n)
+        margins = np.abs(error) - bound
+        k = circle.arc_exponent(fw.degs, n) + 1
+        assert (k <= n + 1).all() and ((k == n + 1).any() == (n % 2 == 0))
+        for i in range(len(fw)):
+            expected = _lemma1_by_definition(field, n, fw.point(i), int(k[i]))
+            assert np.allclose(margins[i], expected, rtol=0, atol=1e-9), (q, n, fw.point(i))
+
+
+def test_lemma1_blocks_rows(monkeypatch):
+    # rows go to S in blocks of at most _BLOCK (point x irreducible) entries
+    sizes = []
+    kernel = circle.s_at_window
+
+    def recording(spec, n, window):
+        sizes.append(len(window) * prime_count(spec, n))
+        return kernel(spec, n, window)
+
+    monkeypatch.setattr(circle, "s_at_window", recording)
+    monkeypatch.setattr(circle, "_BLOCK", 500)
+    _, _, error, _ = lemma1_errors(F3, 6)
+    assert len(sizes) > 1 and max(sizes) <= 500
+    monkeypatch.undo()
+    assert np.array_equal(error, lemma1_errors(F3, 6)[2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ffdigits import charsum, circle, polys
 from ffdigits.census import count_restricted
 from ffdigits.charsum import RestrictedSet
 from ffdigits.circle import PredictorParams
@@ -136,6 +141,33 @@ def test_verify_refuses_denominators_past_the_divisor_sieve_bound(capsys):
     assert code == EXIT_USAGE
     assert "exceeds its bound" in err
     assert "pass" not in out
+
+
+@pytest.mark.parametrize("argv", [("lemma6", "--q", "31"), ("lemma1", "--q", "31", "--n", "6")])
+def test_verify_refuses_farey_windows_past_their_bound(capsys, monkeypatch, argv):
+    # ~9e8 reduced a/g with deg g <= 3 over F_31: refused before any list is built
+    def banned(*args):
+        raise AssertionError("built an irreducible list past the bound")
+
+    for module in (polys, circle, charsum):
+        monkeypatch.setattr(module, "irreducible_rows", banned)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == EXIT_USAGE
+    assert "Farey windows" in err and "exceed their bound" in err
+    assert "pass" not in out
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the census imports its pool only when it runs one
+    code = "import sys, ffdigits.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_unknown_check(capsys):
