@@ -219,19 +219,19 @@ def scan(
     ]
 
 
-def write_csv(reports, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
-        writer.writeheader()
-        for rep in reports:
-            writer.writerow(rep.row())
+def write_csv(reports, fh):
+    """Write the reports as CSV to a text file opened with newline=""."""
+    writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
+    writer.writeheader()
+    for rep in reports:
+        writer.writerow(rep.row())
 
 
 def report_json_line(report: CensusReport) -> str:
     return json.dumps(report.row(), sort_keys=True)
 
 
-def write_json(reports, path):
-    with open(path, "w") as fh:
-        for rep in reports:
-            fh.write(report_json_line(rep) + "\n")
+def write_json(reports, fh):
+    """Write the reports to a text file, one JSON line each."""
+    for rep in reports:
+        fh.write(report_json_line(rep) + "\n")

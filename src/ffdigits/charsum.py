@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import FieldSpec, matmul
+from .field import FieldSpec, add, matmul
 from .laurent import RationalPoint, e_q_of, frac_digits
 from .polys import Poly, enumerate_monic, irreducible_rows, prime_count
 
@@ -94,18 +94,6 @@ def fourier_indicator(spec: FieldSpec, A, r: int) -> complex:
     return sum(spec.psi(spec.mul(a, r)) for a in A)
 
 
-@dataclass(frozen=True)
-class FourierProfile:
-    values: tuple  # indexed by the element code r
-    l1_over_q: float
-
-
-def fourier_profile(R: RestrictedSet) -> FourierProfile:
-    """Fourier coefficients of the allowed set R^c, plus their normalized L1 mass."""
-    values = digit_weights(R)
-    return FourierProfile(values, sum(abs(v) for v in values) / R.spec.q)
-
-
 @lru_cache(maxsize=None)
 def digit_weights(R: RestrictedSet) -> tuple:
     """W[d] = sum_{c allowed} psi(c * d); one digit's factor in the product formula."""
@@ -156,9 +144,7 @@ def s_at_window(spec: FieldSpec, n: int, window):
     w = _windows(window, n)
     W = np.atleast_2d(w)
     acc = matmul(spec, W[:, :n], irreducible_rows(spec, n).T)
-    lead = W[:, n, None]
-    acc = (acc + lead) % spec.p if spec.k == 1 else spec.add_table[acc, lead]
-    return _result(spec.psi_table[acc].sum(-1), w)
+    return _result(spec.psi_table[add(spec, acc, W[:, n, None])].sum(-1), w)
 
 
 def s_at(spec: FieldSpec, n: int, x: RationalPoint, budget: int = DEFAULT_S_BUDGET) -> complex:
@@ -175,8 +161,9 @@ def s_at(spec: FieldSpec, n: int, x: RationalPoint, budget: int = DEFAULT_S_BUDG
 # averaged and pointwise bounds
 
 def l1_average_closed_form(R: RestrictedSet, n: int) -> float:
-    """Closed form for the average of |S_R| over the unit interval."""
-    return fourier_profile(R).l1_over_q ** n
+    """Closed form for the average of |S_R| over the unit interval: the
+    normalized L1 mass of the allowed set's Fourier coefficients, to the n."""
+    return (sum(abs(w) for w in digit_weights(R)) / R.spec.q) ** n
 
 
 def l1_average_direct(R: RestrictedSet, n: int) -> float:

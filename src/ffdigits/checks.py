@@ -102,10 +102,6 @@ def _consecutive_sets(field):
             yield frozenset((start + j) % p for j in range(size))
 
 
-def _point_label(x: RationalPoint) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -282,7 +278,7 @@ def _pointwise_bound_check(rec, field, sets, n_max, bound_fn):
                         "q": q,
                         "forbidden": sorted(forb),
                         "n": n,
-                        "point": _point_label(fw.point(i)),
+                        "point": str(fw.point(i)),
                         "lhs": float(lhs[i]),
                         "rhs": float(rhs[i]),
                     },
@@ -371,14 +367,14 @@ def check_lemma1(q=3, ns=(4, 5, 6)):
             gamma = "0"
             if offset:
                 k = arc_exponent(int(fw.degs[i]), n) + 1
-                gamma = _point_label(RationalPoint(Poly.one(field), Poly.t(field, k)))
+                gamma = str(RationalPoint(Poly.one(field), Poly.t(field, k)))
             rec.record(
                 False,
                 float(lhs[j] - bound),
                 {
                     "q": q,
                     "n": n,
-                    "point": _point_label(fw.point(i)),
+                    "point": str(fw.point(i)),
                     "gamma": gamma,
                     "lhs": float(lhs[j]),
                     "rhs": bound,

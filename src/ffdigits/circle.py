@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .charsum import RestrictedSet, local_factor, s_at_window, s_r_at
-from .field import FieldSpec, digits, matmul
+from .field import FieldSpec, add, digits, matmul
 from .laurent import RationalPoint
 from .polys import (
     Poly,
@@ -245,8 +245,7 @@ def lemma1_errors(field: FieldSpec, n: int) -> tuple:
     k = arc_exponent(fw.degs, n) + 1
     rows = np.arange(len(fw))
     shifted = fw.windows.copy()
-    x = shifted[rows, k - 1]
-    shifted[rows, k - 1] = (x + 1) % field.p if field.k == 1 else field.add_table[x, 1]
+    shifted[rows, k - 1] = add(field, shifted[rows, k - 1], 1)
     # each centre, then its offset
     windows = np.stack([fw.windows, shifted], axis=1).reshape(-1, n + 1)
     S = np.concatenate(

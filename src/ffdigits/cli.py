@@ -11,6 +11,7 @@ import inspect
 import json
 import os
 import sys
+from contextlib import ExitStack
 
 from .census import BudgetError, DEFAULT_BUDGET, count_restricted, scan, write_csv, write_json
 from .charsum import RestrictedSet
@@ -102,11 +103,21 @@ def _restricted_from_args(args) -> RestrictedSet:
 
 
 def _parse_degrees(text: str) -> list:
-    text = text.strip()
-    if ":" in text:
-        lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",")]
+    lo, colon, hi = text.strip().partition(":")
+    degrees = list(range(int(lo), int(hi) + 1)) if colon else [int(t) for t in lo.split(",")]
+    if not degrees:
+        raise ValueError(f"no degrees in {text!r}")
+    return degrees
+
+
+def _open_output(stack: ExitStack, path, **kwargs):
+    """Open an output file for writing, before any work is done; None if no path."""
+    if not path:
+        return None
+    try:
+        return stack.enter_context(open(path, "w", **kwargs))
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _cmd_count(args) -> int:
@@ -128,7 +139,15 @@ def _cmd_predict(args) -> int:
 def _cmd_scan(args) -> int:
     R = _restricted_from_args(args)
     workers = args.workers or _default_workers()
-    reports = scan(R, _parse_degrees(args.n), workers=workers, budget=args.budget)
+    degrees = _parse_degrees(args.n)
+    with ExitStack() as stack:
+        csv_fh = _open_output(stack, args.csv, newline="")
+        json_fh = _open_output(stack, args.json)
+        reports = scan(R, degrees, workers=workers, budget=args.budget)
+        if csv_fh:
+            write_csv(reports, csv_fh)
+        if json_fh:
+            write_json(reports, json_fh)
     header = f"{'n':>4} {'exact':>14} {'predictor':>14} {'ratio':>10} {'lambda':>8} {'elapsed_s':>10}"
     print(header)
     for rep in reports:
@@ -139,10 +158,6 @@ def _cmd_scan(args) -> int:
             f"{rep.n:>4} {rep.exact:>14} {rep.predictor:>14.6g} "
             f"{rep.ratio:>10.5f} {float(rep.lam):>8.5f} {rep.elapsed:>10.3f}"
         )
-    if args.csv:
-        write_csv(reports, args.csv)
-    if args.json:
-        write_json(reports, args.json)
     return EXIT_OK
 
 
@@ -186,18 +201,18 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     workers = _default_workers()
     results = []
-    print(f"{'check':<16} {'cases':>8} {'result':>8} {'elapsed_s':>10}")
-    for check_id in ids:
-        result = run_check(check_id, **_check_params(flags, CHECKS[check_id], workers))
-        results.append(result)
-        verdict = "pass" if result.passed else "FAIL"
-        print(f"{check_id:<16} {result.cases:>8} {verdict:>8} {result.elapsed:>10.2f}")
-        for witness in result.witnesses:
-            print(f"    worst: {json.dumps(witness, sort_keys=True, default=str)}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            for result in results:
-                fh.write(json.dumps(result.to_dict(), sort_keys=True, default=str) + "\n")
+    with ExitStack() as stack:
+        json_fh = _open_output(stack, args.json)
+        print(f"{'check':<16} {'cases':>8} {'result':>8} {'elapsed_s':>10}")
+        for check_id in ids:
+            result = run_check(check_id, **_check_params(flags, CHECKS[check_id], workers))
+            results.append(result)
+            verdict = "pass" if result.passed else "FAIL"
+            print(f"{check_id:<16} {result.cases:>8} {verdict:>8} {result.elapsed:>10.2f}")
+            for witness in result.witnesses:
+                print(f"    worst: {json.dumps(witness, sort_keys=True, default=str)}")
+            if json_fh:
+                json_fh.write(json.dumps(result.to_dict(), sort_keys=True, default=str) + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 

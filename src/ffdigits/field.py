@@ -4,6 +4,10 @@ Elements are stored as integer codes in [0, q): an element with polynomial-basis
 coordinates (c_0, ..., c_{k-1}) relative to the defining modulus has code
 sum_i c_i * p^i.  For prime fields the code is just the residue, so ordinary
 integers double as field elements.  All operations keep elements fully reduced.
+
+The array primitives (negate, add, madd, comb, matmul) broadcast like numpy and
+are the only place that chooses between reducing integers mod p (prime fields)
+and gathering from the q x q op tables (extension fields).
 """
 
 from __future__ import annotations
@@ -64,24 +68,47 @@ def digits(value, base: int, width: int):
 
 
 def negate(field: FieldSpec, A: np.ndarray) -> np.ndarray:
-    """-A over F_q for an int64 array of element codes, coordinate by coordinate."""
-    p, k = field.p, field.k
-    return (-digits(A, p, k) % p) @ p ** np.arange(k, dtype=np.int64)
+    """-A over F_q, elementwise."""
+    if field.k == 1:
+        return -A % field.p
+    return field.neg_table[A]
+
+
+def add(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A + B over F_q, elementwise."""
+    if field.k == 1:
+        return (A + B) % field.p
+    return field.add_table[A, B]
+
+
+def madd(field: FieldSpec, C: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """C + A B over F_q, elementwise."""
+    if field.k == 1:
+        return (C + A * B) % field.p
+    return field.add_table[C, field.mul_table[A, B]]
+
+
+def comb(field: FieldSpec, A, X, B, Y) -> np.ndarray:
+    """A X - B Y over F_q, elementwise, in one call: small batches of
+    elimination updates are dominated by numpy's per-call overhead."""
+    if field.k == 1:
+        return (A * X - B * Y) % field.p
+    mul = field.mul_table
+    return field.add_table[mul[A, X], field.neg_table[mul[B, Y]]]
 
 
 def matmul(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B over F_q for int64 arrays of element codes.
+    """A @ B over F_q, broadcasting leading (batch) dimensions like numpy.
 
     Prime fields reduce the integer product mod p, which is exact while
-    A.shape[1] * (p - 1)^2 < 2^63 and needs no q x q table; extension fields
-    go through the op tables.
+    A.shape[-1] * (p - 1)^2 < 2^63 and needs no q x q table; extension fields
+    accumulate one column of A times one row of B at a time.
     """
     if field.k == 1:
         return (A @ B) % field.p
-    mul, add = field.mul_table, field.add_table
-    out = np.zeros((len(A), B.shape[1]), dtype=np.int64)
-    for i in range(A.shape[1]):
-        out = add[out, mul[A[:, i, None], B[i]]]
+    out = A[..., :0] @ B[..., :0, :]  # zeros in the broadcast output shape
+    for i in range(A.shape[-1]):
+        out = madd(field, out, A[..., i, None], B[..., i, None, :])
     return out
 
 
@@ -130,6 +157,7 @@ class FieldSpec:
             self.modulus = modulus
         self._mul_table = None
         self._add_table = None
+        self._neg_table = None
         self._inv_table = None
         self._trace_table = None
         self._psi_table = None
@@ -227,9 +255,7 @@ class FieldSpec:
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        if self.p == 2:
-            return a
-        return self.encode((-c) % self.p for c in self.coords(a))
+        return self.neg_table[a].item()
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
@@ -242,9 +268,6 @@ class FieldSpec:
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
         return int(self.inv_table[a])
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         """Power by repeated squaring; negative exponents invert first."""
@@ -273,8 +296,8 @@ class FieldSpec:
 
     # -- dense op tables (also reused by the census) -------------------------
 
-    # Multiplication by t and addition are F_p-linear on coordinates, so both
-    # tables are built from the coordinate array of all q elements.
+    # Multiplication by t, addition and negation are F_p-linear on coordinates,
+    # so the tables are built from the coordinate array of all q elements.
 
     @property
     def mul_table(self) -> np.ndarray:
@@ -303,6 +326,14 @@ class FieldSpec:
                 p**j * ((C[:, None, j] + C[None, :, j]) % p) for j in range(self.k)
             )
         return self._add_table
+
+    @property
+    def neg_table(self) -> np.ndarray:
+        if self._neg_table is None:
+            p, k = self.p, self.k
+            C = digits(np.arange(self.q, dtype=np.int64), p, k)
+            self._neg_table = (-C % p) @ p ** np.arange(k, dtype=np.int64)
+        return self._neg_table
 
     @property
     def inv_table(self) -> np.ndarray:

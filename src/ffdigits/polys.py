@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import FieldError, FieldSpec, digits, matmul, negate
+from .field import FieldError, FieldSpec, comb, digits, is_prime, madd, matmul, negate
 
 
 class Poly:
@@ -170,13 +170,13 @@ class Poly:
     def format(self) -> str:
         """Comma-separated coefficients, constant term first."""
         if self.is_zero:
-            return "0" if self.field.k == 1 else self.field.format_element(0)
+            return self.field.format_element(0)
         return ",".join(self.field.format_element(c) for c in self.coeffs)
 
     @classmethod
     def parse(cls, field: FieldSpec, text: str) -> "Poly":
         text = text.strip()
-        if field.k > 1 and "[" in text:
+        if "[" in text:
             parts, depth, cur = [], 0, ""
             for ch in text:
                 if ch == "," and depth == 0:
@@ -224,14 +224,12 @@ def remainder_bases(field: FieldSpec, G: np.ndarray, n: int) -> np.ndarray:
 
     Row i of G holds the non-leading coefficients g_0..g_{d-1} of one g.  The
     result has shape (len(G), n+1, d); entry [i, j] is the coefficient row of
-    t^j mod g_i, from the recurrence r_{j+1} = t r_j - top(r_j) g_i.  Prime
-    fields reduce mod p; extension fields go through the op tables.
+    t^j mod g_i, from the recurrence r_{j+1} = t r_j - top(r_j) g_i.
     """
     N, d = G.shape
     out = np.zeros((N, n + 1, d), dtype=np.int64)
     if d == 0:
         return out
-    p, k = field.p, field.k
     minus_g = negate(field, G)
     r = np.zeros((N, d), dtype=np.int64)
     r[:, 0] = 1
@@ -239,10 +237,7 @@ def remainder_bases(field: FieldSpec, G: np.ndarray, n: int) -> np.ndarray:
         out[:, j] = r
         top = r[:, -1:]
         r = np.concatenate([np.zeros((N, 1), dtype=np.int64), r[:, :-1]], axis=1)
-        if k == 1:
-            r = (r + top * minus_g) % p
-        else:
-            r = field.add_table[r, field.mul_table[top, minus_g]]
+        r = madd(field, r, top, minus_g)
     return out
 
 
@@ -259,20 +254,6 @@ def remainder_basis(g: Poly, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # irreducibility: Rabin's test, and the cached lists by Berlekamp's test
 
-def _prime_factors(n: int) -> list:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f: Poly) -> bool:
     """Rabin test: t^{q^n} = t mod f and gcd(t^{q^{n/l}} - t, f) = 1 for primes l | n."""
     if not f.is_monic or f.degree < 1:
@@ -282,7 +263,7 @@ def is_irreducible(f: Poly) -> bool:
         return True
     q = f.field.q
     t = Poly.t(f.field)
-    check_at = {n // ell for ell in _prime_factors(n)}
+    check_at = {n // ell for ell in _divisors(n) if is_prime(ell)}
     h = t
     for j in range(1, n + 1):
         h = pow_mod(h, q, f)  # h = t^{q^j} mod f
@@ -299,35 +280,11 @@ def is_irreducible(f: Poly) -> bool:
 _BERLEKAMP_BLOCK = 1 << 12
 
 
-def _batched_ops(field: FieldSpec):
-    """comb(a, x, b, y) = a x - b y and vecmat(h, A) = h A over F_q, elementwise
-    and per row, on int64 arrays of element codes."""
-    if field.k == 1:
-        p = field.p
-        comb = lambda a, x, b, y: (a * x - b * y) % p  # noqa: E731
-        vecmat = lambda h, A: (h[:, None, :] @ A)[:, 0] % p  # noqa: E731
-        return comb, vecmat
-    mul, add = field.mul_table, field.add_table
-    neg = negate(field, np.arange(field.q, dtype=np.int64))
-
-    def comb(a, x, b, y):
-        return add[mul[a, x], neg[mul[b, y]]]
-
-    def vecmat(h, A):
-        acc = np.zeros_like(h)
-        for i in range(h.shape[1]):
-            acc = add[acc, mul[h[:, i, None], A[:, i]]]
-        return acc
-
-    return comb, vecmat
-
-
 def _nullity_one(field: FieldSpec, Q: np.ndarray) -> np.ndarray:
     """rank(Q_f - I) == d - 1 for each d x d matrix Q_f of Q, by fraction-free
     Gaussian elimination over F_q, one column of every matrix per step."""
     N, d, _ = Q.shape
-    comb, _ = _batched_ops(field)
-    M = comb(1, Q, 1, np.eye(d, dtype=np.int64))
+    M = comb(field, 1, Q, 1, np.eye(d, dtype=np.int64))
     rows = np.arange(N)
     free = np.ones((N, d), dtype=bool)  # rows not yet used as a pivot
     rank = np.zeros(N, dtype=np.int64)
@@ -341,7 +298,7 @@ def _nullity_one(field: FieldSpec, Q: np.ndarray) -> np.ndarray:
         # zero and is never read again, and a matrix without a pivot is unchanged
         scale = np.where(has, pivot_row[:, c], 1)
         factor = np.where(has[:, None], M[:, :, c], 0)
-        M = comb(scale[:, None, None], M, factor[:, :, None], pivot_row[:, None, :])
+        M = comb(field, scale[:, None, None], M, factor[:, :, None], pivot_row[:, None, :])
         free[rows[has], piv[has]] = False
         rank += has
     return rank == d - 1
@@ -350,10 +307,9 @@ def _nullity_one(field: FieldSpec, Q: np.ndarray) -> np.ndarray:
 def _fixes_t(field: FieldSpec, Q: np.ndarray, t_row: np.ndarray) -> np.ndarray:
     """t Q_f^d == t for each Q_f of Q, given the coefficient row of t mod f:
     that is, t^(q^d) = t mod f."""
-    _, vecmat = _batched_ops(field)
     h = t_row
     for _ in range(Q.shape[1]):
-        h = vecmat(h, Q)
+        h = matmul(field, h[:, None, :], Q)[:, 0]
     return (h == t_row).all(axis=1)
 
 
@@ -441,7 +397,7 @@ def sieve_tables(field: FieldSpec, n: int, allowed: tuple) -> list:
     h = n - half
     low = np.array(allowed, dtype=np.int64)[digits(np.arange(m**h, dtype=np.int64), m, h)]
     # digit index m stands for the leading coefficient 1
-    neg = np.array([field.neg(c) for c in allowed + (1,)], dtype=np.int64)
+    neg = negate(field, np.array(allowed + (1,), dtype=np.int64))
     high_idx = digits(np.arange(m**half, dtype=np.int64), m, half)
     high = neg[np.concatenate([high_idx, np.full((m**half, 1), m)], axis=1)]
     tables = []

@@ -181,7 +181,8 @@ def test_scan_sorted_and_error_isolated():
 def test_csv_columns(tmp_path):
     R = RestrictedSet.of(F3, 0)
     path = tmp_path / "out.csv"
-    write_csv(scan(R, [2, 3]), path)
+    with path.open("w", newline="") as fh:
+        write_csv(scan(R, [2, 3]), fh)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(REPORT_COLUMNS)
     assert len(lines) == 3
@@ -191,7 +192,8 @@ def test_csv_columns(tmp_path):
 
 def test_json_budget_total_null_below_n3(tmp_path):
     path = tmp_path / "out.jsonl"
-    write_json(scan(RestrictedSet.of(F3, 0), [1, 2, 3]), path)
+    with path.open("w") as fh:
+        write_json(scan(RestrictedSet.of(F3, 0), [1, 2, 3]), fh)
     totals = [json.loads(line)["budget_total"] for line in path.read_text().splitlines()]
     assert totals == [None, None, 12.584842055135661]
 
@@ -200,7 +202,8 @@ def test_json_round_trip(tmp_path):
     R = RestrictedSet.of(F3, 0)
     reports = scan(R, [2, 3])
     path = tmp_path / "out.jsonl"
-    write_json(reports, path)
+    with path.open("w") as fh:
+        write_json(reports, fh)
     lines = path.read_text().strip().splitlines()
     assert lines == [report_json_line(rep) for rep in reports]
     rec = json.loads(lines[0])

@@ -8,8 +8,8 @@ from ffdigits.charsum import (
     RestrictedSet,
     cauchy_schwarz_bound,
     consecutive_l1_bound,
+    digit_weights,
     fourier_indicator,
-    fourier_profile,
     l1_average_closed_form,
     l1_average_direct,
     lemma3_bound,
@@ -82,10 +82,10 @@ def test_fourier_indicator_examples():
 def test_fourier_profile_invariants():
     for forbidden in [{0}, {1, 2}, {0, 4}]:
         R = RestrictedSet(F5, frozenset(forbidden))
-        prof = fourier_profile(R)
-        assert abs(prof.values[0] - (5 - R.s)) < 1e-12
+        W = digit_weights(R)
+        assert abs(W[0] - (5 - R.s)) < 1e-12
         for r in F5.elements():
-            comp_hat = prof.values[r]
+            comp_hat = W[r]
             forb_hat = fourier_indicator(F5, R.forbidden, r)
             expected = 5 if r == 0 else 0
             assert abs(comp_hat + forb_hat - expected) < 1e-9

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ffdigits import charsum, circle, polys
+from ffdigits import census, charsum, circle, cli, polys
 from ffdigits.census import count_restricted
 from ffdigits.charsum import RestrictedSet
 from ffdigits.circle import PredictorParams
@@ -232,6 +232,7 @@ def test_bad_degrees_exit_usage(capsys):
         ("count", "--q", "3", "--n", "-1"),
         ("predict", "--q", "3", "--n", "0"),
         ("scan", "--q", "3", "--n", "0:2"),
+        ("scan", "--q", "3", "--n", "5:3"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE, argv
@@ -239,6 +240,27 @@ def test_bad_degrees_exit_usage(capsys):
     code, out, _ = run(capsys, "count", "--q", "3", "--n", "0")
     assert code == EXIT_OK
     assert out.strip() == "0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--q", "3", "--n", "2:3", "--csv", "{missing}"),
+        ("scan", "--q", "3", "--n", "2:3", "--json", "{missing}"),
+        ("scan", "--q", "3", "--n", "2:3", "--csv", "{directory}"),
+        ("verify", "corollary2", "--json", "{missing}"),
+    ],
+)
+def test_unwritable_output_exits_usage_before_work(capsys, monkeypatch, tmp_path, argv):
+    def banned(*args, **kwargs):
+        raise AssertionError("work ran before the output file was opened")
+
+    monkeypatch.setattr(census, "count_restricted", banned)
+    monkeypatch.setattr(cli, "run_check", banned)
+    paths = {"missing": tmp_path / "absent" / "out", "directory": tmp_path}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: cannot write")
 
 
 def test_degree_validation_in_library():

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ffdigits.field import FieldError, FieldSpec, digits, get_field, matmul
+from ffdigits.field import (
+    FieldError,
+    FieldSpec,
+    add,
+    comb,
+    digits,
+    get_field,
+    madd,
+    matmul,
+    negate,
+)
 from ffdigits.polys import Poly, pow_mod
 
 F2 = get_field(2)
@@ -180,6 +190,7 @@ def test_op_tables_match_polynomial_arithmetic(q):
 
     mul = np.array([[code(x * y % m) for y in elems] for x in elems])
     add = np.array([[code(x + y) for y in elems] for x in elems])
+    neg = [code(-x) for x in elems]
     inv = [0] + [int(np.flatnonzero(mul[a] == 1)[0]) for a in range(1, q)]
     trace = [
         code(sum((pow_mod(x, field.p**i, m) for i in range(field.k)), Poly.zero(Fp)))
@@ -187,19 +198,45 @@ def test_op_tables_match_polynomial_arithmetic(q):
     ]
     assert field.mul_table.tolist() == mul.tolist()
     assert field.add_table.tolist() == add.tolist()
+    assert field.neg_table.tolist() == neg
     assert field.inv_table.tolist() == inv
     assert field.trace_table.tolist() == trace
 
 
-@pytest.mark.parametrize("q", [2, 5, 17, 4, 9])
+def _scalar_matmul(field, A, B):
+    out = [[0] * B.shape[1] for _ in range(len(A))]
+    for i in range(len(A)):
+        for j in range(B.shape[1]):
+            for k in range(B.shape[0]):
+                out[i][j] = field.add(out[i][j], field.mul(int(A[i, k]), int(B[k, j])))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 5, 17, 4, 9, 8])
 def test_matmul_matches_scalar_ops(q):
     field = FieldSpec.from_q(q)
     rng = np.random.default_rng(q)
     A = rng.integers(0, q, size=(6, 4))
     B = rng.integers(0, q, size=(4, 3))
-    expected = [[0] * 3 for _ in range(6)]
-    for i in range(6):
-        for j in range(3):
-            for k in range(4):
-                expected[i][j] = field.add(expected[i][j], field.mul(int(A[i, k]), int(B[k, j])))
+    assert matmul(field, A, B).tolist() == _scalar_matmul(field, A, B)
+    # leading dimensions broadcast: one vector-matrix product per batch row
+    A = rng.integers(0, q, size=(5, 1, 4))
+    B = rng.integers(0, q, size=(5, 4, 3))
+    expected = [_scalar_matmul(field, A[b], B[b]) for b in range(5)]
     assert matmul(field, A, B).tolist() == expected
+
+
+@pytest.mark.parametrize("q", [2, 5, 17, 4, 9, 8])
+def test_elementwise_ops_match_scalar_ops(q):
+    F = FieldSpec.from_q(q)
+    A, B, C, X, Y = np.random.default_rng(q).integers(0, q, size=(5, 40))
+    rows = list(zip(A.tolist(), B.tolist(), C.tolist(), X.tolist(), Y.tolist()))
+    assert negate(F, A).tolist() == [F.neg(a) for a, *_ in rows]
+    assert add(F, A, B).tolist() == [F.add(a, b) for a, b, *_ in rows]
+    assert madd(F, C, A, B).tolist() == [F.add(c, F.mul(a, b)) for a, b, c, *_ in rows]
+    assert comb(F, A, X, B, Y).tolist() == [
+        F.sub(F.mul(a, x), F.mul(b, y)) for a, b, _, x, y in rows
+    ]
+    # scalars broadcast against arrays
+    assert add(F, A, 1).tolist() == [F.add(a, 1) for a, *_ in rows]
+    assert comb(F, 1, X, 1, Y).tolist() == [F.sub(x, y) for *_, x, y in rows]
