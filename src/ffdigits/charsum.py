@@ -6,7 +6,6 @@ used by the verification battery.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
@@ -17,9 +16,6 @@ import numpy as np
 from .field import FieldSpec, add, matmul
 from .laurent import RationalPoint, e_q_of, frac_digits
 from .polys import Poly, enumerate_monic, irreducible_rows, prime_count
-
-# Above this many irreducibles a definitional S(x) evaluation emits a warning.
-DEFAULT_S_BUDGET = 2_000_000
 
 
 def local_factor(q: int, s: int, zero_in_R: bool) -> Fraction:
@@ -147,13 +143,10 @@ def s_at_window(spec: FieldSpec, n: int, window):
     return _result(spec.psi_table[add(spec, acc, W[:, n, None])].sum(-1), w)
 
 
-def s_at(spec: FieldSpec, n: int, x: RationalPoint, budget: int = DEFAULT_S_BUDGET) -> complex:
+def s_at(spec: FieldSpec, n: int, x: RationalPoint) -> complex:
     """S(x): the character sum over all monic irreducibles of degree n."""
-    count = prime_count(spec, n)
-    if count > budget:
-        warnings.warn(f"S(x) enumeration over {count} irreducibles exceeds budget {budget}")
     if x.is_zero:
-        return complex(count)
+        return complex(prime_count(spec, n))
     return s_at_window(spec, n, frac_digits(x, n + 1))
 
 

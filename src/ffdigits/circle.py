@@ -17,14 +17,13 @@ from .laurent import RationalPoint
 from .polys import (
     Poly,
     enumerate_monic,
-    euler_phi,
     irreducible_rows,
-    mobius,
+    mobius_phi,
+    monic_of_code,
     poly_gcd,
     prime_count,
     prime_divisors,
     remainder_bases,
-    remainder_basis,
 )
 
 
@@ -66,13 +65,6 @@ class FareyArc:
         return diff.is_zero or diff.degree - g.degree - x.g.degree < -self.radius_exponent
 
 
-def _polys_below_degree(field: FieldSpec, d: int):
-    """All polynomials of degree < d, by ascending code."""
-    q = field.q
-    for v in range(q**d):
-        yield Poly(field, digits(v, q, d))
-
-
 def farey_enumerate(field: FieldSpec, d_max: int):
     """Every reduced fraction a/g with g monic and deg a < deg g <= d_max.
 
@@ -84,9 +76,8 @@ def farey_enumerate(field: FieldSpec, d_max: int):
     one = Poly.one(field)
     for d in range(1, d_max + 1):
         for g in enumerate_monic(field, d):
-            for a in _polys_below_degree(field, d):
-                if a.is_zero:
-                    continue
+            for v in range(1, field.q**d):  # numerators by ascending code
+                a = Poly(field, digits(v, field.q, d))
                 if poly_gcd(a, g) == one:
                     yield RationalPoint(a, g)
 
@@ -95,13 +86,13 @@ def farey_enumerate(field: FieldSpec, d_max: int):
 class FareyWindows:
     """Reduced fractions a/g, one row each, with their first m digits.
 
-    Row i is the numerator with code `codes[i]` over the denominator
-    `denominators[g_index[i]]`; `windows[i]` holds x_{-1}, ..., x_{-m} and
-    `degs[i]` the degree of the denominator.
+    Row i is the numerator with code `codes[i]` (a_0 least significant) over
+    the monic g of degree `degs[i]` with index `g_codes[i]` in `enumerate_monic`
+    order; `windows[i]` holds x_{-1}, ..., x_{-m}.
     """
 
-    denominators: tuple
-    g_index: np.ndarray
+    field: FieldSpec
+    g_codes: np.ndarray
     codes: np.ndarray
     windows: np.ndarray
     degs: np.ndarray
@@ -110,77 +101,72 @@ class FareyWindows:
         return len(self.codes)
 
     def point(self, i: int) -> RationalPoint:
-        g = self.denominators[self.g_index[i]]
-        a = Poly(g.field, digits(int(self.codes[i]), g.field.q, g.degree))
-        return RationalPoint(a, g)
+        d = int(self.degs[i])
+        a = Poly(self.field, digits(int(self.codes[i]), self.field.q, d))
+        return RationalPoint(a, monic_of_code(self.field, d, int(self.g_codes[i])))
 
 
-def farey_windows(
-    field: FieldSpec, d_min: int, d_max: int, m: int, exclude_t_powers: bool = False
-) -> FareyWindows:
-    """The points of `farey_enumerate` with d_min <= deg g <= d_max, optionally
-    without the denominators t^d, and their digit windows, in the same order.
+def _coprime(field: FieldSpec, A: np.ndarray, d: int) -> np.ndarray:
+    """coprime[j, i]: the numerator row A[i] is coprime to the j-th monic of
+    degree d, for numerators of degree < d.
+
+    A numerator is coprime to g exactly when no irreducible divisor w of g
+    (`prime_divisors`) divides it, and none of degree d can.  So the (g, w)
+    incidence times the table of "w divides a" over deg w < d counts the
+    common divisors; the product is exact in float32, since it counts to d.
+    """
+    q = field.q
+    start, e, w = prime_divisors(field, d)
+    owner = np.repeat(np.arange(q**d), np.diff(start))
+    divides = [np.zeros((0, len(A)), dtype=bool)]
+    for k in range(1, d):
+        bases = remainder_bases(field, irreducible_rows(field, k), d - 1)
+        divides.append(~matmul(field, A, bases).any(axis=2))  # a mod w, per w
+    offset = np.cumsum([0] + [len(x) for x in divides])  # first column of each deg w
+    low = e < d
+    incidence = np.zeros((q**d, offset[-1]), dtype=np.float32)
+    incidence[owner[low], offset[e[low]] + w[low]] = 1
+    return incidence @ np.concatenate(divides).astype(np.float32) == 0
+
+
+def farey_windows(field: FieldSpec, d_min: int, d_max: int, m: int) -> FareyWindows:
+    """The points of `farey_enumerate` with d_min <= deg g <= d_max and their
+    digit windows, in the same order.
 
     The digit x_{-j} of a/g is the t^(d-1) coefficient of t^(j-1) a mod g, so a
-    Hankel matrix H_g maps the coefficient row of a to its window.  A numerator
-    is coprime to g exactly when its remainder mod each irreducible divisor of g
-    (`prime_divisors`) is nonzero.  `farey_enumerate` with `frac_digits` is the
+    Hankel matrix H_g maps the coefficient row of a to its window, and one
+    product of every numerator against H_g for every g of degree d gives the
+    windows of that degree.  `farey_enumerate` with `frac_digits` is the
     reference.  Refuses past `_WINDOW_LIMIT` entries before it builds anything:
-    the reduced a/g with deg g = d number q^(2d-1)(q-1), phi(t^d) of them with
-    g = t^d.
+    the reduced a/g with deg g = d number q^(2d-1)(q-1).
     """
     if m < 1:
         raise ValueError("window length must be >= 1")
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     q = field.q
-    rows = int(d_min <= 0 and not exclude_t_powers) + sum(
-        q ** (2 * d - 1) * (q - 1) - exclude_t_powers * (q**d - q ** (d - 1))
-        for d in range(max(d_min, 1), d_max + 1)
+    rows = int(d_min <= 0) + sum(
+        q ** (2 * d - 1) * (q - 1) for d in range(max(d_min, 1), d_max + 1)
     )
     if rows * m > _WINDOW_LIMIT:
         raise ValueError(
             f"the {rows} Farey windows of length {m} exceed their bound of "
             f"{_WINDOW_LIMIT} entries"
         )
-    gs = []
-    g_index, codes, degs = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
-    windows = [np.zeros((0, m), dtype=np.int64)]
-
-    def add_rows(g, row_codes, rows):
-        g_index.append(np.full(len(rows), len(gs), dtype=np.int64))
-        gs.append(g)
-        codes.append(row_codes)
-        windows.append(rows)
-        degs.append(np.full(len(rows), g.degree, dtype=np.int64))
-
-    if d_min <= 0 and not exclude_t_powers:
-        add_rows(Poly.one(field), np.zeros(1, dtype=np.int64), np.zeros((1, m), dtype=np.int64))
+    zero = np.zeros(int(d_min <= 0), dtype=np.int64)
+    g_codes, codes, degs = [zero], [zero], [zero]
+    windows = [np.zeros((len(zero), m), dtype=np.int64)]
     for d in range(max(d_min, 1), d_max + 1):
-        numer = np.arange(1, q**d, dtype=np.int64)
-        A = digits(numer, q, d)  # coefficient rows of every nonzero numerator
-        start, deg_w, w_row = prime_divisors(field, d)
-        bases = [remainder_bases(field, irreducible_rows(field, e), d - 1) for e in range(d + 1)]
-        nonzero_mod = {}  # (deg w, row of w) -> (a mod w != 0) for every numerator a
-        for j, g in enumerate(enumerate_monic(field, d)):
-            if exclude_t_powers and not any(g.coeffs[:-1]):
-                continue
-            coprime = np.ones(len(A), dtype=bool)
-            pairs = slice(start[j], start[j + 1])
-            for w in zip(deg_w[pairs].tolist(), w_row[pairs].tolist()):
-                if w not in nonzero_mod:
-                    nonzero_mod[w] = matmul(field, A, bases[w[0]][w[1]]).any(axis=1)
-                coprime &= nonzero_mod[w]
-            h = remainder_basis(g, d + m - 2)[:, d - 1]  # h[k] = [t^(d-1)] (t^k mod g)
-            hankel = h[np.arange(d)[:, None] + np.arange(m)]
-            add_rows(g, numer[coprime], matmul(field, A[coprime], hankel))
-    return FareyWindows(
-        tuple(gs),
-        np.concatenate(g_index),
-        np.concatenate(codes),
-        np.concatenate(windows),
-        np.concatenate(degs),
-    )
+        A = digits(np.arange(1, q**d, dtype=np.int64), q, d)  # every nonzero numerator
+        G = digits(np.arange(q**d, dtype=np.int64), q, d)[:, ::-1]  # c_0 most significant
+        h = remainder_bases(field, G, d + m - 2)[:, :, d - 1]  # h[j, k] = [t^(d-1)] (t^k mod g_j)
+        hankel = h[:, np.arange(d)[:, None] + np.arange(m)]
+        g, a = np.nonzero(_coprime(field, A, d))
+        windows.append(matmul(field, A, hankel)[g, a])
+        g_codes.append(g)
+        codes.append(a + 1)
+        degs.append(np.full(len(g), d, dtype=np.int64))
+    return FareyWindows(field, *(np.concatenate(x) for x in (g_codes, codes, windows, degs)))
 
 
 def arc_exponent(deg_g, n: int):
@@ -241,7 +227,11 @@ def lemma1_errors(field: FieldSpec, n: int) -> tuple:
     """
     fw = farey_windows(field, 0, n // 2, n + 1)
     pi = prime_count(field, n)
-    ratio = np.array([mobius(g) * pi / euler_phi(g) for g in fw.denominators])[fw.g_index]
+    ratio = np.zeros(len(fw))
+    for d in range(n // 2 + 1):
+        mu, phi = mobius_phi(field, d)
+        at = fw.degs == d
+        ratio[at] = mu[fw.g_codes[at]] * pi / phi[fw.g_codes[at]]
     k = arc_exponent(fw.degs, n) + 1
     rows = np.arange(len(fw))
     shifted = fw.windows.copy()
@@ -256,14 +246,13 @@ def lemma1_errors(field: FieldSpec, n: int) -> tuple:
     return fw, main, S - main, field.q ** (n - n // 2 / 2)
 
 
-def lemma5_ratio(g: Poly):
-    """(q^deg g / phi(g), (1 + log_q(deg g)) * e) for monic g of positive degree."""
-    if g.degree < 1:
+def lemma5_ratio(field: FieldSpec, d: int) -> tuple:
+    """(q^d / phi(g) for every monic g of degree d >= 1, in `enumerate_monic`
+    order, and (1 + log_q d) * e)."""
+    if d < 1:
         raise ValueError("need deg g >= 1")
-    q = g.field.q
-    ratio = Fraction(q**g.degree, euler_phi(g.monic()))
-    bound = (1 + math.log(g.degree, q)) * math.e
-    return float(ratio), bound
+    q = field.q
+    return q**d / mobius_phi(field, d)[1], (1 + math.log(d, q)) * math.e
 
 
 # ---------------------------------------------------------------------------

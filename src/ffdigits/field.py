@@ -187,17 +187,6 @@ class FieldSpec:
         return f"{self.p}^{self.k}:{mods}"
 
     @classmethod
-    def from_string(cls, text: str) -> "FieldSpec":
-        text = text.strip()
-        if "^" not in text:
-            return cls.from_q(int(text))
-        head, _, tail = text.partition(":")
-        ps, _, ks = head.partition("^")
-        p, k = int(ps), int(ks)
-        modulus = tuple(int(c) for c in tail.split(",")) if tail else None
-        return cls(p, k, modulus)
-
-    @classmethod
     def from_q(cls, q: int, modulus=None) -> "FieldSpec":
         """Build F_q from the prime power q alone."""
         p, k = prime_power(q)

@@ -241,16 +241,6 @@ def remainder_bases(field: FieldSpec, G: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def remainder_basis(g: Poly, n: int) -> np.ndarray:
-    """Coefficient matrix of t^j mod g for j = 0..n, shape (n+1, deg g).
-
-    Row j holds the remainder of t^j, so the coefficient row of any f with
-    deg f <= n, multiplied into it over F_q, gives the coefficients of f mod g.
-    """
-    G = np.array(g.monic().coeffs[:-1], dtype=np.int64).reshape(1, -1)
-    return remainder_bases(g.field, G, n)[0]
-
-
 # ---------------------------------------------------------------------------
 # irreducibility: Rabin's test, and the cached lists by Berlekamp's test
 
@@ -508,37 +498,48 @@ def prime_divisors(field: FieldSpec, d: int) -> tuple:
     return out
 
 
-def _divisor_degrees(f: Poly) -> list:
-    """The degrees of the distinct monic irreducible divisors of f."""
+def mobius_phi(field: FieldSpec, d: int) -> tuple:
+    """(mu, phi) of every monic of degree d, as int64 arrays in `enumerate_monic`
+    order, from the divisor degrees e of `prime_divisors`.
+
+    A monic is squarefree exactly when its e sum to d; then mu = (-1)^omega,
+    omega the number of its distinct irreducible divisors, and otherwise mu = 0.
+    phi = q^(d - sum e) * prod (q^e - 1), exactly.
+    """
+    q = field.q
+    start, e, _ = prime_divisors(field, d)
+    omega = np.diff(start)
+    owner = np.repeat(np.arange(q**d), omega)
+    sum_e = np.bincount(owner, weights=e, minlength=q**d).astype(np.int64)
+    mu = np.where(sum_e == d, 1 - 2 * (omega % 2), 0)
+    phi = q ** (d - sum_e)
+    np.multiply.at(phi, owner, q**e - 1)
+    return mu, phi
+
+
+def _monic_code(f: Poly) -> int:
+    """The index of the monic f in `enumerate_monic` order."""
     if not f.is_monic:
         raise ValueError("need a monic polynomial")
     j = 0
     for c in f.coeffs[:-1]:
         j = j * f.field.q + c
-    start, e, _ = prime_divisors(f.field, f.degree)
-    return e[start[j] : start[j + 1]].tolist()
+    return j
+
+
+def monic_of_code(field: FieldSpec, d: int, j: int) -> Poly:
+    """The j-th monic of degree d in `enumerate_monic` order."""
+    return Poly(field, digits(j, field.q, d)[::-1] + (1,))
 
 
 def mobius(f: Poly) -> int:
-    """(-1)^(number of distinct irreducible factors) if squarefree, else 0.
-
-    f is squarefree exactly when the degrees of its distinct irreducible
-    divisors sum to deg f.
-    """
-    degs = _divisor_degrees(f)
-    if sum(degs) != f.degree:
-        return 0
-    return -1 if len(degs) % 2 else 1
+    """(-1)^(number of distinct irreducible factors) if squarefree, else 0."""
+    return int(mobius_phi(f.field, f.degree)[0][_monic_code(f)])
 
 
 def euler_phi(f: Poly) -> int:
     """Size of (F_q[t]/(f))^x, exactly: |f| * prod over divisors w (1 - 1/|w|)."""
-    q = f.field.q
-    degs = _divisor_degrees(f)
-    out = q ** (f.degree - sum(degs))
-    for e in degs:
-        out *= q**e - 1
-    return out
+    return int(mobius_phi(f.field, f.degree)[1][_monic_code(f)])
 
 
 # ---------------------------------------------------------------------------

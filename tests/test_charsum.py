@@ -185,11 +185,6 @@ def test_s_at_trivial_bound():
             assert abs(val) <= prime_count(3, n) + 1e-9
 
 
-def test_s_at_budget_warning():
-    with pytest.warns(UserWarning):
-        s_at(F3, 4, pt(F3, (1,), (0, 1)), budget=2)
-
-
 # ---------------------------------------------------------------------------
 # averages and bounds
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ffdigits import checks
 from ffdigits.charsum import RestrictedSet, lemma6_bound, s_r_at
 from ffdigits.checks import (
     CHECKS,
@@ -23,7 +24,7 @@ from ffdigits.checks import (
 )
 from ffdigits.field import get_field
 from ffdigits.laurent import RationalPoint, frac_digits
-from ffdigits.polys import Poly
+from ffdigits.polys import Poly, euler_phi
 
 F5 = get_field(5)
 
@@ -96,6 +97,38 @@ def test_lemma5_check():
     assert result.passed
 
 
+def test_lemma5_witnesses_name_their_monic(monkeypatch):
+    # with the bound halved the monics of largest ratio fail; each witness
+    # label, built from the monic's code, must give back its ratio
+    ratio_of = checks.lemma5_ratio
+
+    def halved(field, d):
+        ratio, bound = ratio_of(field, d)
+        return ratio, bound / 2
+
+    monkeypatch.setattr(checks, "lemma5_ratio", halved)
+    result = check_lemma5(qs=(3,), d_max=3)
+    assert not result.passed and result.witnesses
+    F3 = get_field(3)
+    for witness in result.witnesses:
+        g = Poly.parse(F3, witness["g"])
+        assert witness["lhs"] == 3**g.degree / euler_phi(g) > witness["rhs"]
+
+
+@pytest.mark.parametrize("check_id", ["lemma1", "lemma3", "lemma4", "lemma5", "lemma6", "partition"])
+def test_checks_build_no_poly(check_id, monkeypatch):
+    # farey_windows, lemma1_errors and lemma5_ratio on the default grids work
+    # on code arrays; a Poly is built only to label a violation
+    def banned(*args, **kwargs):
+        raise AssertionError("a check built a Poly")
+
+    get_field(2, 2)  # partition's F_4: Rabin's test of its modulus builds a Poly, once
+    with monkeypatch.context() as m:
+        m.setattr(Poly, "__init__", banned)
+        result = run_check(check_id)
+    assert result.passed
+
+
 def test_lemma6_check_narrow():
     result = check_lemma6(ps=(5,), n_max=4)
     assert result.passed
@@ -139,6 +172,7 @@ def test_pointwise_witnesses_reproduce_their_lhs():
         num, den = witness["point"].split("/")
         x = RationalPoint(Poly.parse(F5, num), Poly.parse(F5, den))
         assert str(x) == witness["point"]
+        assert any(x.g.coeffs[:-1])  # no denominator t^d
         R = RestrictedSet(F5, frozenset(witness["forbidden"]))
         n = witness["n"]
         value = abs(s_r_at(R, n, frac_digits(x, n + 1)))

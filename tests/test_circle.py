@@ -68,35 +68,33 @@ def test_farey_windows_match_oracle(q):
     top = 3 if q < 7 else 2
     oracle = list(farey_enumerate(field, top))
     oracle_windows = np.array([frac_digits(x, 9) for x in oracle], dtype=np.int64)
-    # a row is (denominator, numerator code)
-    oracle_rows = [(x.g, sum(c * q**i for i, c in enumerate(x.a.coeffs))) for x in oracle]
     for d_max in range(top + 1):
         for d_min in (0, 1):
-            for exclude in (False, True):
-                keep = [
-                    i
-                    for i, x in enumerate(oracle)
-                    if d_min <= x.g.degree <= d_max
-                    and not (exclude and not any(x.g.coeffs[:-1]))
-                ]
-                for m in (1, 4, 9):
-                    fw = farey_windows(field, d_min, d_max, m, exclude_t_powers=exclude)
-                    rows = [(fw.denominators[j], c) for j, c in zip(fw.g_index, fw.codes)]
-                    assert rows == [oracle_rows[i] for i in keep]
-                    if keep:
-                        assert fw.point(len(fw) - 1) == oracle[keep[-1]]
-                    assert fw.windows.dtype == np.int64
-                    assert fw.windows.shape == (len(keep), m)
-                    assert np.array_equal(fw.windows, oracle_windows[keep, :m])
-                    assert fw.degs.tolist() == [oracle[i].g.degree for i in keep]
+            keep = [i for i, x in enumerate(oracle) if d_min <= x.g.degree <= d_max]
+            points = farey_windows(field, d_min, d_max, 1)
+            assert [points.point(i) for i in range(len(points))] == [oracle[i] for i in keep]
+            # a numerator's code puts a_0 least significant
+            assert points.codes.tolist() == [
+                sum(c * q**j for j, c in enumerate(oracle[i].a.coeffs)) for i in keep
+            ]
+            for m in (1, 4, 9):
+                fw = farey_windows(field, d_min, d_max, m)
+                assert np.array_equal(fw.g_codes, points.g_codes)
+                assert np.array_equal(fw.codes, points.codes)
+                assert fw.windows.dtype == np.int64
+                assert fw.windows.shape == (len(keep), m)
+                assert np.array_equal(fw.windows, oracle_windows[keep, :m])
+                assert fw.degs.tolist() == [oracle[i].g.degree for i in keep]
 
 
 @pytest.mark.parametrize("q,rows", [(3, 520), (5, 12_896), (7, 102_600)])
 def test_farey_windows_row_count(q, rows):
-    # reduced a/g with deg g = d number q^(2d-1)(q-1); phi(t^d) of them have g = t^d
-    closed = sum(q ** (2 * d - 1) * (q - 1) - (q**d - q ** (d - 1)) for d in (1, 2, 3))
-    assert closed == rows
-    assert len(farey_windows(get_field(q), 1, 3, 1, exclude_t_powers=True)) == rows
+    # reduced a/g with deg g = d number q^(2d-1)(q-1); phi(t^d) of them have
+    # g = t^d, the monic of index 0, which the pointwise checks leave out
+    fw = farey_windows(get_field(q), 1, 3, 1)
+    assert len(fw) == sum(q ** (2 * d - 1) * (q - 1) for d in (1, 2, 3))
+    assert len(fw) - sum(q**d - q ** (d - 1) for d in (1, 2, 3)) == rows
+    assert np.count_nonzero(fw.g_codes) == rows
 
 
 def test_arc_membership():
@@ -242,15 +240,18 @@ def test_lemma1_blocks_rows(monkeypatch):
 # phi-ratio bound
 
 def test_lemma5_examples():
-    ratio, bound = lemma5_ratio(Poly(F2, (1, 1)))
-    assert ratio == 2.0 and abs(bound - math.e) < 1e-12
-    ratio, bound = lemma5_ratio(Poly(F2, (0, 1)) * Poly(F2, (1, 1)))
-    assert ratio == 4.0
+    # ratios are indexed by the monic's place in enumerate_monic order
+    ratio, bound = lemma5_ratio(F2, 1)
+    assert ratio[polys._monic_code(Poly(F2, (1, 1)))] == 2.0
+    assert abs(bound - math.e) < 1e-12
+    ratio, bound = lemma5_ratio(F2, 2)
+    assert ratio[polys._monic_code(Poly(F2, (0, 1)) * Poly(F2, (1, 1)))] == 4.0
     assert abs(bound - 2 * math.e) < 1e-12
     g = Poly(F2, (0, 1)) * Poly(F2, (1, 1)) * Poly(F2, (1, 1, 1))
-    ratio, bound = lemma5_ratio(g)
-    assert abs(ratio - 16 / 3) < 1e-12
+    ratio, bound = lemma5_ratio(F2, 4)
+    assert abs(ratio[polys._monic_code(g)] - 16 / 3) < 1e-12
     assert abs(bound - 3 * math.e) < 1e-12  # deg g = 4
+    assert np.array_equal(ratio, [2**4 / euler_phi(f) for f in enumerate_monic(F2, 4)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ffdigits import census, charsum, circle, cli, polys
+from ffdigits import census, charsum, checks, circle, cli, polys
 from ffdigits.census import count_restricted
 from ffdigits.charsum import RestrictedSet
 from ffdigits.circle import PredictorParams
@@ -155,6 +155,40 @@ def test_verify_refuses_farey_windows_past_their_bound(capsys, monkeypatch, argv
     assert code == EXIT_USAGE
     assert "Farey windows" in err and "exceed their bound" in err
     assert "pass" not in out
+
+
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (("lemma3", "--q", "23"), "forbidden sets"),
+        (("corollary1", "--q", "23"), "forbidden sets"),
+        (("corollary2", "--q", "1009"), "forbidden sets"),
+        (("lemma2", "--q", "3", "--n", "16"), "points of the direct average"),
+    ],
+)
+def test_verify_refuses_exponential_grids_before_enumerating(capsys, monkeypatch, argv, what):
+    # sum C(q, s) forbidden sets and q^n points are counted in closed form first
+    def banned(*args):
+        raise AssertionError("enumerated a grid past its bound")
+
+    monkeypatch.setattr(checks, "combinations", banned)
+    monkeypatch.setattr(checks, "l1_average_direct", banned)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == EXIT_USAGE
+    assert what in err and "exceed their bound" in err
+    assert "pass" not in out
+
+
+def test_verify_all_matches_the_golden(capsys, tmp_path):
+    # the records of `verify all --json`, less their timings
+    path = tmp_path / "verify_all.jsonl"
+    assert main(["verify", "all", "--json", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        del record["elapsed_s"]
+    golden = Path(__file__).parent / "data" / "verify_all.jsonl"
+    assert records == [json.loads(line) for line in golden.read_text().splitlines()]
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

