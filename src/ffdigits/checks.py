@@ -26,6 +26,7 @@ from .charsum import (
 from .circle import (
     arc_exponent,
     arc_partition_check,
+    farey_window_rows,
     farey_windows,
     lemma1_errors,
     lemma5_ratio,
@@ -42,6 +43,11 @@ MAX_WITNESSES = 10
 # and `verify corollary1 --q 23` (~8.4 * 10^6 sets) is refused at once.
 _SUBSET_LIMIT = 1 << 12
 _POINT_LIMIT = 1 << 16
+# Most window entries (sets x windows x digits) that the per-set passes of a
+# pointwise check read over one field.  It admits every default grid (lemma6 at
+# p = 7: 35 sets x 102,942 windows x 9 digits, ~3.2 * 10^7), and `verify lemma4
+# --q 31` (497 sets x 895,592 windows x 8 digits, ~3.6 * 10^9) is refused at once.
+_PASS_LIMIT = 1 << 26
 
 # Exact counts for q = 17, R = {0}, pinned from the census on first build.
 # The n = 5 row is the asymptotic-trend assertion point.
@@ -100,6 +106,17 @@ def _bound_sets(count: int, q: int):
     if count > _SUBSET_LIMIT:
         raise ValueError(
             f"the {count} forbidden sets over F_{q} exceed their bound of {_SUBSET_LIMIT}"
+        )
+
+
+def _bound_pass(field, sets, rows: int, n_max: int):
+    """Refuse past `_PASS_LIMIT` window entries read by the per-set passes,
+    before any window is built."""
+    entries = len(sets) * rows * n_max
+    if entries > _PASS_LIMIT:
+        raise ValueError(
+            f"the {entries} window entries that {len(sets)} forbidden sets read over "
+            f"F_{field.q} exceed their bound of {_PASS_LIMIT}"
         )
 
 
@@ -311,9 +328,11 @@ def check_lemma3(qs=(3, 5), n_max=9):
     """Pointwise bound (q-s)^(n-[n/d]) s^[n/d] at rational points, deg g <= 3."""
     started = time.perf_counter()
     rec = _Recorder()
-    for q in qs:
-        field = get_field(*prime_power(q))
-        sets = _subsets(field, range(1, q // 2 + 1))
+    fields = [get_field(*prime_power(q)) for q in qs]
+    grid = [(field, _subsets(field, range(1, field.q // 2 + 1))) for field in fields]
+    for field, sets in grid:
+        _bound_pass(field, sets, farey_window_rows(field.q, 1, 3, n_max), n_max)
+    for field, sets in grid:
         _pointwise_bound_check(rec, field, sets, n_max, lemma3_bound)
     return rec.result("lemma3", {"qs": list(qs), "n_max": n_max, "d_max": 3}, started)
 
@@ -327,9 +346,14 @@ def check_lemma6(ps=(5, 7), n_max=9):
     """
     started = time.perf_counter()
     rec = _Recorder()
-    for p in ps:
-        field = get_field(p)
-        sets = [S for S in _consecutive_sets(field) if p - len(S) >= 2]
+    fields = [get_field(p) for p in ps]
+    grid = [
+        (field, [S for S in _consecutive_sets(field) if field.q - len(S) >= 2])
+        for field in fields
+    ]
+    for field, sets in grid:
+        _bound_pass(field, sets, farey_window_rows(field.q, 1, 3, n_max), n_max)
+    for field, sets in grid:
         _pointwise_bound_check(rec, field, sets, n_max, lemma6_bound)
     return rec.result(
         "lemma6", {"ps": list(ps), "n_max": n_max, "d_max": 3, "s_max": "p-2"}, started
@@ -341,9 +365,13 @@ def check_lemma4(qs=(3, 5), ds=(1, 2), ns=(4, 6, 8)):
     started = time.perf_counter()
     rec = _Recorder()
     n_max = max(ns)
-    for q in qs:
-        field = get_field(*prime_power(q))
-        sets = _subsets(field, range(0, 3))
+    fields = [get_field(*prime_power(q)) for q in qs]
+    grid = [(field, _subsets(field, range(0, 3))) for field in fields]
+    for field, sets in grid:
+        rows = sum(farey_window_rows(field.q, 0, d, n_max) for d in ds)
+        _bound_pass(field, sets, rows, n_max)
+    for field, sets in grid:
+        q = field.q
         for d in ds:
             windows = farey_windows(field, 0, d, n_max).windows
             for forb in sets:

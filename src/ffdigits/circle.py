@@ -129,22 +129,14 @@ def _coprime(field: FieldSpec, A: np.ndarray, d: int) -> np.ndarray:
     return incidence @ np.concatenate(divides).astype(np.float32) == 0
 
 
-def farey_windows(field: FieldSpec, d_min: int, d_max: int, m: int) -> FareyWindows:
-    """The points of `farey_enumerate` with d_min <= deg g <= d_max and their
-    digit windows, in the same order.
-
-    The digit x_{-j} of a/g is the t^(d-1) coefficient of t^(j-1) a mod g, so a
-    Hankel matrix H_g maps the coefficient row of a to its window, and one
-    product of every numerator against H_g for every g of degree d gives the
-    windows of that degree.  `farey_enumerate` with `frac_digits` is the
-    reference.  Refuses past `_WINDOW_LIMIT` entries before it builds anything:
-    the reduced a/g with deg g = d number q^(2d-1)(q-1).
-    """
+def farey_window_rows(q: int, d_min: int, d_max: int, m: int) -> int:
+    """The number of rows of `farey_windows` over F_q, in closed form: the
+    reduced a/g with deg g = d number q^(2d-1)(q-1).  Refuses past
+    `_WINDOW_LIMIT` entries of length m."""
     if m < 1:
         raise ValueError("window length must be >= 1")
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    q = field.q
     rows = int(d_min <= 0) + sum(
         q ** (2 * d - 1) * (q - 1) for d in range(max(d_min, 1), d_max + 1)
     )
@@ -153,6 +145,22 @@ def farey_windows(field: FieldSpec, d_min: int, d_max: int, m: int) -> FareyWind
             f"the {rows} Farey windows of length {m} exceed their bound of "
             f"{_WINDOW_LIMIT} entries"
         )
+    return rows
+
+
+def farey_windows(field: FieldSpec, d_min: int, d_max: int, m: int) -> FareyWindows:
+    """The points of `farey_enumerate` with d_min <= deg g <= d_max and their
+    digit windows, in the same order.
+
+    The digit x_{-j} of a/g is the t^(d-1) coefficient of t^(j-1) a mod g, so a
+    Hankel matrix H_g maps the coefficient row of a to its window, and one
+    product of every numerator against H_g for every g of degree d gives the
+    windows of that degree.  `farey_enumerate` with `frac_digits` is the
+    reference.  Refuses past `_WINDOW_LIMIT` entries before it builds anything
+    (`farey_window_rows`).
+    """
+    farey_window_rows(field.q, d_min, d_max, m)
+    q = field.q
     zero = np.zeros(int(d_min <= 0), dtype=np.int64)
     g_codes, codes, degs = [zero], [zero], [zero]
     windows = [np.zeros((len(zero), m), dtype=np.int64)]

@@ -3,9 +3,11 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ffdigits import census, polys
@@ -138,6 +140,60 @@ def test_sieve_reaches_the_list_builder(monkeypatch):
     census._sieve_tables.cache_clear()
     with pytest.raises(AssertionError, match="irreducible list built"):
         count_restricted(RestrictedSet.of(F3, 0), 4)
+
+
+@pytest.mark.parametrize("block", [1, 97])
+@pytest.mark.parametrize(
+    "field,forbidden,n",
+    [
+        (F2, (), 10),
+        (F2, (1,), 9),
+        (F3, (), 7),
+        (F3, (1,), 8),
+        (F4, (), 5),
+        (F4, (0, 3), 6),
+        (F9, (), 3),
+        (F9, (0, 8), 4),
+        (F17, (), 3),
+        (F17, tuple(range(12)), 4),
+    ],
+)
+def test_block_size_leaves_the_sieve_unchanged(field, forbidden, n, block, monkeypatch):
+    # tables and stages are cut into blocks of at most _BLOCK entries; the cut
+    # must not show in the tables, the survivors or the count
+    allowed = tuple(c for c in field.elements() if c not in forbidden)
+    idx = np.arange(len(allowed) ** n, dtype=np.int64)
+    R = RestrictedSet(field, frozenset(forbidden))
+    tables = polys.sieve_tables(field, n, allowed)
+    survivors = polys.sieve(tables, idx)
+    count = count_restricted(R, n)
+    monkeypatch.setattr(polys, "_BLOCK", block)
+    census._sieve_tables.cache_clear()
+    blocked = polys.sieve_tables(field, n, allowed)
+    for (low, high), (low_b, high_b) in zip(tables, blocked, strict=True):
+        assert low.dtype == low_b.dtype and np.array_equal(low, low_b)
+        assert high.dtype == high_b.dtype and np.array_equal(high, high_b)
+    assert np.array_equal(polys.sieve(blocked, idx), survivors)
+    assert count_restricted(R, n) == count
+
+
+def test_census_working_set_is_its_tables_and_a_few_blocks():
+    # beyond its tables, a census holds its chunk's indices and a few blocks of
+    # 2^16 int64 entries: the remainder products of the table build and the
+    # codes that one stage compares.  Codes gathered for a whole chunk against
+    # the 136 irreducibles of degree 2 would take ~9 MB here.
+    R = RestrictedSet.of(F17, 0)
+    count_restricted(R, 5)  # the irreducible lists of degrees 1 and 2
+    census._sieve_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        assert count_restricted(R, 5) == 222560
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = census._sieve_tables(F17, 5, tuple(range(1, 17)))
+    table_bytes = sum(low.nbytes + high.nbytes for low, high in tables)
+    assert peak - table_bytes < 4 * (1 << 16) * 8
 
 
 def test_budget_error_names_the_budget():

@@ -158,6 +158,22 @@ def test_verify_refuses_farey_windows_past_their_bound(capsys, monkeypatch, argv
 
 
 @pytest.mark.parametrize(
+    "argv", [("lemma4", "--q", "31"), ("lemma3", "--q", "9"), ("lemma6", "--q", "7", "--n", "20")]
+)
+def test_verify_refuses_pointwise_passes_before_any_window(capsys, monkeypatch, argv):
+    # each forbidden set reads every window: sets x windows x digits are counted
+    # in closed form before the windows are built (~3.6e9 entries at lemma4 q=31)
+    def banned(*args):
+        raise AssertionError("built Farey windows past the bound")
+
+    monkeypatch.setattr(checks, "farey_windows", banned)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == EXIT_USAGE
+    assert "window entries" in err and "exceed their bound" in err
+    assert "pass" not in out
+
+
+@pytest.mark.parametrize(
     "argv,what",
     [
         (("lemma3", "--q", "23"), "forbidden sets"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffdigits import polys
-from ffdigits.field import get_field
+from ffdigits.field import get_field, matmul
 from ffdigits.polys import (
     Poly,
     enumerate_monic,
@@ -231,18 +231,25 @@ def test_berlekamp_needs_the_frobenius_condition(field, d, monkeypatch, fresh_be
 
 def test_sieve_tables_build_bases_in_blocks(monkeypatch):
     # the bases of every irreducible of one degree hold (n+1) d pi(d) entries,
-    # which no budget counts, so they are built a block of irreducibles at a time
+    # which no budget counts, so they are built a block of irreducibles at a
+    # time, and each remainder product of `_codes` is a block of rows
     whole = polys.sieve_tables(F3, 16, (0, 2))
-    built = []
+    built, products = [], []
 
     def recording(field, G, n):
         built.append(G.size * (n + 1))
         return remainder_bases(field, G, n)
 
+    def recording_matmul(field, A, B):
+        products.append(A.shape[0] * B.shape[1])
+        return matmul(field, A, B)
+
     monkeypatch.setattr(polys, "_BLOCK", 1000)
     monkeypatch.setattr(polys, "remainder_bases", recording)
+    monkeypatch.setattr(polys, "matmul", recording_matmul)
     blocked = polys.sieve_tables(F3, 16, (0, 2))
     assert max(built) <= 1000
+    assert products and max(products) <= 1000
     for (low, high), (low_b, high_b) in zip(whole, blocked):
         assert low.dtype == low_b.dtype and (low == low_b).all() and (high == high_b).all()
     assert [low.shape[1] for low, _ in blocked] == [prime_count(3, d) for d in range(1, 9)]

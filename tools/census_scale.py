@@ -1,0 +1,53 @@
+"""Wall time and peak RSS of `ffdigits count` at three census shapes larger
+than the benchmark's, each in a fresh interpreter with one worker.
+
+    python3 tools/census_scale.py
+
+Run from the root of a checkout; the package is imported from ./src.  The peak
+RSS is the child's ru_maxrss from wait4, in MiB like perfbench's peak_rss_mb.
+Prints one JSON line per shape: its label, the count it printed, wall_s and
+peak_rss_mb.  The shapes need about 10 s to 1 min and 0.1 to 0.8 GB each.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (label, count arguments); the last one needs twice the default budget
+SHAPES = [
+    ("q=17 R={0} n=6", ["--q", "17", "--forbid", "0", "--n", "6"]),
+    ("q=3 R={0} n=20", ["--q", "3", "--forbid", "0", "--n", "20"]),
+    ("q=3 R={0} n=22 budget 2e8", ["--q", "3", "--forbid", "0", "--n", "22", "--budget", "200000000"]),
+]
+
+
+def run_count(args: list) -> dict:
+    """One `ffdigits count` in a fresh interpreter: its output, wall time and peak RSS."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-m", "ffdigits.cli", "count", "--workers", "1", *args]
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True)
+    out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.stdout.close()
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited with status {status}")
+    return {"count": int(out), "wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 2)}
+
+
+def main() -> int:
+    for label, count_args in SHAPES:
+        print(json.dumps({"shape": label, **run_count(count_args)}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
