@@ -292,7 +292,8 @@ def _pointwise_bound_check(rec, field, sets, n_max, bound_fn):
     """Shared driver for the pointwise |S_R(a/g)| bounds (denominator not t^d).
 
     The bound depends on the point only through deg g, so it is evaluated once
-    per degree and indexed per point.
+    per degree and indexed per point.  Every point counts as a case; the
+    `MAX_WITNESSES` largest violations of each (set, n) are recorded.
     """
     fw = farey_windows(field, 1, 3, n_max)
     keep = fw.g_codes != 0  # t^d is the monic of index 0
@@ -307,8 +308,10 @@ def _pointwise_bound_check(rec, field, sets, n_max, bound_fn):
             lhs = prods[:, n - 1]
             per_deg = [bound_fn(q, s, n, int(d)) for d in uniq_degs]
             rhs = np.array(per_deg, dtype=float)[deg_index]
-            bad = (lhs > rhs * (1 + 1e-9) + 1e-9) & keep
-            for i in np.nonzero(bad)[0][:MAX_WITNESSES]:
+            bad = np.flatnonzero((lhs > rhs * (1 + 1e-9) + 1e-9) & keep)
+            # the largest margins; a stable sort keeps row order among ties
+            worst = bad[np.argsort(rhs[bad] - lhs[bad], kind="stable")[:MAX_WITNESSES]]
+            for i in worst:
                 rec.record(
                     False,
                     float(lhs[i] - rhs[i]),
@@ -321,7 +324,7 @@ def _pointwise_bound_check(rec, field, sets, n_max, bound_fn):
                         "rhs": float(rhs[i]),
                     },
                 )
-            rec.cases += int(keep.sum()) - int(bad.sum())
+            rec.cases += int(keep.sum()) - len(worst)
 
 
 def check_lemma3(qs=(3, 5), n_max=9):
@@ -367,22 +370,24 @@ def check_lemma4(qs=(3, 5), ds=(1, 2), ns=(4, 6, 8)):
     n_max = max(ns)
     fields = [get_field(*prime_power(q)) for q in qs]
     grid = [(field, _subsets(field, range(0, 3))) for field in fields]
+    d_top = max(ds, default=0)
     for field, sets in grid:
-        rows = sum(farey_window_rows(field.q, 0, d, n_max) for d in ds)
-        _bound_pass(field, sets, rows, n_max)
+        _bound_pass(field, sets, farey_window_rows(field.q, 0, d_top, n_max), n_max)
     for field, sets in grid:
         q = field.q
-        for d in ds:
-            windows = farey_windows(field, 0, d, n_max).windows
-            for forb in sets:
-                R = RestrictedSet(field, forb)
-                s = len(forb)
-                absW = np.abs(np.array(digit_weights(R)))
-                prods = np.cumprod(absW[windows], axis=1)
+        # one build at the largest d, summed over deg g <= d for each d
+        fw = farey_windows(field, 0, d_top, n_max)
+        for forb in sets:
+            R = RestrictedSet(field, forb)
+            s = len(forb)
+            absW = np.abs(np.array(digit_weights(R)))
+            prods = np.cumprod(absW[fw.windows], axis=1)
+            for d in ds:
+                within = fw.degs <= d
                 for n in ns:
                     if d > n / 2:
                         continue
-                    lhs = float(prods[:, n - 1].sum())
+                    lhs = float(prods[within, n - 1].sum())
                     rhs = (q - s) ** (n - 2 * d) * (q * (1 + np.sqrt(s)) - 2 * s) ** (
                         2 * d
                     )

@@ -17,12 +17,10 @@ from .laurent import RationalPoint
 from .polys import (
     Poly,
     enumerate_monic,
-    irreducible_rows,
     mobius_phi,
     monic_of_code,
     poly_gcd,
     prime_count,
-    prime_divisors,
     remainder_bases,
 )
 
@@ -86,9 +84,9 @@ def farey_enumerate(field: FieldSpec, d_max: int):
 class FareyWindows:
     """Reduced fractions a/g, one row each, with their first m digits.
 
-    Row i is the numerator with code `codes[i]` (a_0 least significant) over
-    the monic g of degree `degs[i]` with index `g_codes[i]` in `enumerate_monic`
-    order; `windows[i]` holds x_{-1}, ..., x_{-m}.
+    Row i is the numerator with code `codes[i]` over the monic g of degree
+    `degs[i]` with code `g_codes[i]`, both sum c_j q^j with c_0 least
+    significant (`polys.monic_of_code`); `windows[i]` holds x_{-1}, ..., x_{-m}.
     """
 
     field: FieldSpec
@@ -104,29 +102,6 @@ class FareyWindows:
         d = int(self.degs[i])
         a = Poly(self.field, digits(int(self.codes[i]), self.field.q, d))
         return RationalPoint(a, monic_of_code(self.field, d, int(self.g_codes[i])))
-
-
-def _coprime(field: FieldSpec, A: np.ndarray, d: int) -> np.ndarray:
-    """coprime[j, i]: the numerator row A[i] is coprime to the j-th monic of
-    degree d, for numerators of degree < d.
-
-    A numerator is coprime to g exactly when no irreducible divisor w of g
-    (`prime_divisors`) divides it, and none of degree d can.  So the (g, w)
-    incidence times the table of "w divides a" over deg w < d counts the
-    common divisors; the product is exact in float32, since it counts to d.
-    """
-    q = field.q
-    start, e, w = prime_divisors(field, d)
-    owner = np.repeat(np.arange(q**d), np.diff(start))
-    divides = [np.zeros((0, len(A)), dtype=bool)]
-    for k in range(1, d):
-        bases = remainder_bases(field, irreducible_rows(field, k), d - 1)
-        divides.append(~matmul(field, A, bases).any(axis=2))  # a mod w, per w
-    offset = np.cumsum([0] + [len(x) for x in divides])  # first column of each deg w
-    low = e < d
-    incidence = np.zeros((q**d, offset[-1]), dtype=np.float32)
-    incidence[owner[low], offset[e[low]] + w[low]] = 1
-    return incidence @ np.concatenate(divides).astype(np.float32) == 0
 
 
 def farey_window_rows(q: int, d_min: int, d_max: int, m: int) -> int:
@@ -150,30 +125,44 @@ def farey_window_rows(q: int, d_min: int, d_max: int, m: int) -> int:
 
 def farey_windows(field: FieldSpec, d_min: int, d_max: int, m: int) -> FareyWindows:
     """The points of `farey_enumerate` with d_min <= deg g <= d_max and their
-    digit windows, in the same order.
+    digit windows, in the same order: by deg g, then by the codes of g and a.
 
     The digit x_{-j} of a/g is the t^(d-1) coefficient of t^(j-1) a mod g, so a
     Hankel matrix H_g maps the coefficient row of a to its window, and one
-    product of every numerator against H_g for every g of degree d gives the
-    windows of that degree.  `farey_enumerate` with `frac_digits` is the
-    reference.  Refuses past `_WINDOW_LIMIT` entries before it builds anything
-    (`farey_window_rows`).
+    product of every nonzero numerator against H_g for every g of degree d gives
+    the windows of all those pairs.  The pair is reduced exactly when its first
+    2 d_max digits are those of no reduced fraction b/h with 0 < deg h < d.  If
+    a/g is not reduced, it is such a b/h.  If it is reduced, the two are
+    distinct and |a/g - b/h| = |ah - bg| / |gh| >= q^(-d - deg h) > q^(-2 d_max),
+    so they differ in one of those digits.  `farey_enumerate` with
+    `frac_digits` is the reference.  Refuses past `_WINDOW_LIMIT` entries of
+    the windows it computes, max(m, 2 d_max) digits over every degree up to
+    d_max, before it builds anything (`farey_window_rows`).
     """
-    farey_window_rows(field.q, d_min, d_max, m)
+    width = max(m, 2 * d_max)
+    farey_window_rows(field.q, min(d_min, 1), d_max, width)
     q = field.q
+    # the bound holds q^(2 d_max) < 2^24, so the keys fit in int64
+    weights = q ** np.arange(2 * d_max, dtype=np.int64)
+    lower = np.zeros(0, dtype=np.int64)  # keys of the reduced fractions so far
     zero = np.zeros(int(d_min <= 0), dtype=np.int64)
     g_codes, codes, degs = [zero], [zero], [zero]
     windows = [np.zeros((len(zero), m), dtype=np.int64)]
-    for d in range(max(d_min, 1), d_max + 1):
+    for d in range(1, d_max + 1):
         A = digits(np.arange(1, q**d, dtype=np.int64), q, d)  # every nonzero numerator
-        G = digits(np.arange(q**d, dtype=np.int64), q, d)[:, ::-1]  # c_0 most significant
-        h = remainder_bases(field, G, d + m - 2)[:, :, d - 1]  # h[j, k] = [t^(d-1)] (t^k mod g_j)
-        hankel = h[:, np.arange(d)[:, None] + np.arange(m)]
-        g, a = np.nonzero(_coprime(field, A, d))
-        windows.append(matmul(field, A, hankel)[g, a])
-        g_codes.append(g)
-        codes.append(a + 1)
-        degs.append(np.full(len(g), d, dtype=np.int64))
+        G = digits(np.arange(q**d, dtype=np.int64), q, d)
+        h = remainder_bases(field, G, d + width - 2)[:, :, d - 1]  # h[j, k] = [t^(d-1)] (t^k mod g_j)
+        hankel = h[:, np.arange(d)[:, None] + np.arange(width)]
+        pairs = matmul(field, A, hankel).reshape(-1, width)  # row (g, a - 1)
+        key = pairs[:, : 2 * d_max] @ weights
+        reduced = np.flatnonzero(~np.isin(key, lower))
+        lower = np.concatenate([lower, key[reduced]])
+        if d >= d_min:
+            g, a = np.divmod(reduced, q**d - 1)
+            windows.append(pairs[reduced, :m])
+            g_codes.append(g)
+            codes.append(a + 1)
+            degs.append(np.full(len(g), d, dtype=np.int64))
     return FareyWindows(field, *(np.concatenate(x) for x in (g_codes, codes, windows, degs)))
 
 

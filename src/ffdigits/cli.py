@@ -17,7 +17,7 @@ from .census import BudgetError, DEFAULT_BUDGET, count_restricted, scan, write_c
 from .charsum import RestrictedSet
 from .checks import CHECKS, run_check
 from .circle import NumericalError, PredictorParams, predictor
-from .field import FieldError, FieldSpec, get_field
+from .field import FieldError, FieldSpec, get_field, prime_power
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -94,8 +94,7 @@ def _field_from_args(args) -> FieldSpec:
     modulus = None
     if args.ext_modulus:
         modulus = tuple(int(c) for c in args.ext_modulus.split(","))
-    spec = FieldSpec.from_q(q, modulus)
-    return get_field(spec.p, spec.k, spec.modulus)
+    return get_field(*prime_power(q), modulus)
 
 
 def _restricted_from_args(args) -> RestrictedSet:

@@ -152,7 +152,10 @@ class FieldSpec:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise FieldError("modulus must be monic of degree k")
-            if not _irreducible_over_prime_field(modulus, p):
+            # the default modulus was found irreducible by its search
+            if modulus != default_modulus(p, k) and not _irreducible_over_prime_field(
+                modulus, p
+            ):
                 raise FieldError("modulus is reducible over the prime field")
             self.modulus = modulus
         self._mul_table = None

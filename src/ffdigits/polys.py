@@ -1,5 +1,5 @@
 """The ring F_q[t]: arithmetic, gcd, irreducibility, the remainder-code sieve,
-the divisor sieve with Mobius and totient, and counting.
+Mobius and totient by a divisor sieve, and counting.
 
 Polynomials are immutable dense coefficient tuples (ascending powers of t) of
 field element codes.  The zero polynomial is the empty tuple with degree -1.
@@ -327,8 +327,8 @@ def _berlekamp_irreducible(field: FieldSpec, G: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def irreducible_rows(field: FieldSpec, d: int) -> np.ndarray:
     """Coefficient rows (c_0, ..., c_{d-1}) of the monic irreducibles of degree
-    d, in `enumerate_monic` order, as a read-only int64 array, by a batched
-    Berlekamp test over all q^d monics.
+    d, by increasing code (`enumerate_monic` order), as a read-only int64 array,
+    by a batched Berlekamp test over all q^d monics.
 
     The census sieve (`irreducible_codes`) and Rabin's test (`is_irreducible`)
     list the same polynomials by other tests; the tests compare all three.
@@ -340,8 +340,7 @@ def irreducible_rows(field: FieldSpec, d: int) -> np.ndarray:
     step = max(1, _BERLEKAMP_BLOCK // ((q * (d - 1) + 2) * d))
     found = []
     for lo in range(0, q**d, step):
-        # enumeration order puts c_0 most significant
-        G = digits(np.arange(lo, min(lo + step, q**d), dtype=np.int64), q, d)[:, ::-1]
+        G = digits(np.arange(lo, min(lo + step, q**d), dtype=np.int64), q, d)
         found.append(G[_berlekamp_irreducible(field, G)])
     rows = np.concatenate(found)
     rows.flags.writeable = False
@@ -436,9 +435,10 @@ def sieve(tables: list, idx: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def irreducible_codes(field: FieldSpec, d: int) -> np.ndarray:
     """Coefficient rows (c_0, ..., c_{d-1}) of the monic irreducibles of degree
-    d, in `enumerate_monic` order, as a read-only int64 array.
+    d, by increasing code (`enumerate_monic` order), as a read-only int64 array.
 
-    The sieve over all q^d monics leaves exactly the irreducibles; its divisors
+    A monic's code is its candidate index in the sieve over all q^d monics,
+    which leaves exactly the irreducibles, in order; its divisors
     are the irreducibles of degree <= d/2, listed by the same function, down to
     the q linear polynomials, which no stage removes.
     """
@@ -451,8 +451,6 @@ def irreducible_codes(field: FieldSpec, d: int) -> np.ndarray:
         for lo in range(0, q**d, _CANDIDATES)
     ]
     rows = digits(np.concatenate(found), q, d)
-    # candidate indices put c_0 least significant, enumeration most significant
-    rows = rows[np.lexsort(rows.T[::-1])]
     rows.flags.writeable = False
     return rows
 
@@ -460,22 +458,25 @@ def irreducible_codes(field: FieldSpec, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the divisor sieve: Mobius and totient
 
-# Most monics q^d of one degree whose divisors `prime_divisors` lists.  It
-# admits every default check and q in {2, 3} up to degree 9.
+# Most monics q^d of one degree that `mobius_phi` covers.  It admits every
+# default check and q in {2, 3} up to degree 9.
 _DIVISOR_LIMIT = 1 << 15
 
 
 @lru_cache(maxsize=1)
-def prime_divisors(field: FieldSpec, d: int) -> tuple:
-    """Every pair (g, w) of a monic g of degree d and a monic irreducible w that
-    divides it, as read-only int64 arrays (start, e, w): the pairs of the j-th
-    monic in `enumerate_monic` order are start[j]:start[j+1], each with e = deg w
-    and w the row of w in `irreducible_rows(field, e)`, sorted by (e, w).
+def mobius_phi(field: FieldSpec, d: int) -> tuple:
+    """(mu, phi) of every monic of degree d, as read-only int64 arrays indexed by
+    the monic's code (`enumerate_monic` order), by a multiplicative sieve.
 
-    A multiplicative sieve: the products w h over the q^(d-e) monic h of degree
-    d - e are the multiples of w of degree d, and one matmul of the h rows with
-    the banded Toeplitz matrices of the w rows forms them for every w of degree
-    e.  The cache keeps one degree, since the checks walk g by degree.
+    The products w h over the q^(d-e) monic h of degree d - e are the multiples
+    of degree d of an irreducible w of degree e, and one matmul of the h rows
+    with the banded Toeplitz matrices of the w rows forms them for every w of
+    degree e; a monic's code then occurs once per irreducible divisor of degree
+    e.  Counting the codes per degree gives omega, the number of distinct
+    irreducible divisors, and sum e.  A monic is squarefree exactly when its e
+    sum to d; then mu = (-1)^omega, and otherwise mu = 0.  phi = q^(d - sum e)
+    * prod (q^e - 1), exactly.  The cache keeps one degree, since the checks
+    walk g by degree.
     """
     q = field.q
     if q**d > _DIVISOR_LIMIT:
@@ -483,64 +484,42 @@ def prime_divisors(field: FieldSpec, d: int) -> tuple:
             f"the divisor sieve over the {q}^{d} monics of degree {d} "
             f"exceeds its bound of {_DIVISOR_LIMIT}"
         )
-    weights = q ** np.arange(d - 1, -1, -1, dtype=np.int64)  # c_0 most significant
-    g, e, w = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
-    for k in range(1, d + 1):
-        W = irreducible_rows(field, k)
-        m = d - k
+    weights = q ** np.arange(d, dtype=np.int64)
+    omega, sum_e = (np.zeros(q**d, dtype=np.int64) for _ in range(2))
+    phi = np.ones(q**d, dtype=np.int64)
+    for e in range(1, d + 1):
+        W = irreducible_rows(field, e)
+        m = d - e
         H = np.concatenate(
             [digits(np.arange(q**m, dtype=np.int64), q, m), np.ones((q**m, 1), dtype=np.int64)],
             axis=1,
         )  # (h_0, ..., h_{m-1}, 1) of every monic h of degree m
         T = np.zeros((m + 1, len(W), d + 1), dtype=np.int64)
         for i in range(m + 1):
-            T[i, :, i : i + k] = W  # row i is t^i w
-            T[i, :, i + k] = 1
-        products = matmul(field, H, T.reshape(m + 1, -1)).reshape(q**m, len(W), d + 1)
-        g.append((products[:, :, :d] @ weights).ravel())
-        e.append(np.full(g[-1].size, k, dtype=np.int64))
-        w.append(np.tile(np.arange(len(W), dtype=np.int64), q**m))
-    g, e, w = (np.concatenate(x) for x in (g, e, w))
-    order = np.lexsort((w, e, g))
-    start = np.concatenate([[0], np.cumsum(np.bincount(g, minlength=q**d))])
-    out = (start, e[order], w[order])
-    for x in out:
-        x.flags.writeable = False
-    return out
-
-
-def mobius_phi(field: FieldSpec, d: int) -> tuple:
-    """(mu, phi) of every monic of degree d, as int64 arrays in `enumerate_monic`
-    order, from the divisor degrees e of `prime_divisors`.
-
-    A monic is squarefree exactly when its e sum to d; then mu = (-1)^omega,
-    omega the number of its distinct irreducible divisors, and otherwise mu = 0.
-    phi = q^(d - sum e) * prod (q^e - 1), exactly.
-    """
-    q = field.q
-    start, e, _ = prime_divisors(field, d)
-    omega = np.diff(start)
-    owner = np.repeat(np.arange(q**d), omega)
-    sum_e = np.bincount(owner, weights=e, minlength=q**d).astype(np.int64)
+            T[i, :, i : i + e] = W  # row i is t^i w
+            T[i, :, i + e] = 1
+        products = matmul(field, H, T.reshape(m + 1, -1)).reshape(-1, d + 1)
+        divisors = np.bincount(products[:, :d] @ weights, minlength=q**d)
+        omega += divisors
+        sum_e += e * divisors
+        phi *= (q**e - 1) ** divisors
     mu = np.where(sum_e == d, 1 - 2 * (omega % 2), 0)
-    phi = q ** (d - sum_e)
-    np.multiply.at(phi, owner, q**e - 1)
+    phi *= q ** (d - sum_e)
+    for x in (mu, phi):
+        x.flags.writeable = False
     return mu, phi
 
 
 def _monic_code(f: Poly) -> int:
-    """The index of the monic f in `enumerate_monic` order."""
+    """The code sum c_i q^i of the monic f, its index in `enumerate_monic` order."""
     if not f.is_monic:
         raise ValueError("need a monic polynomial")
-    j = 0
-    for c in f.coeffs[:-1]:
-        j = j * f.field.q + c
-    return j
+    return sum(c * f.field.q**i for i, c in enumerate(f.coeffs[:-1]))
 
 
 def monic_of_code(field: FieldSpec, d: int, j: int) -> Poly:
-    """The j-th monic of degree d in `enumerate_monic` order."""
-    return Poly(field, digits(j, field.q, d)[::-1] + (1,))
+    """The monic of degree d with code j (`_monic_code`)."""
+    return Poly(field, digits(j, field.q, d) + (1,))
 
 
 def mobius(f: Poly) -> int:
@@ -592,18 +571,15 @@ def prime_count(q, n: int) -> int:
 def enumerate_monic(field: FieldSpec, n: int, allowed=None):
     """Monic degree-n polynomials whose n non-leading coefficients lie in `allowed`.
 
-    Yields in lexicographic order of the coefficient vector (c_0, ..., c_{n-1}).
+    The j-th has c_i = A[digits(j, m, n)[i]], A the m allowed elements sorted:
+    c_0 is the least significant digit, as in element codes and the census's
+    candidate index.  With every element allowed, j is the monic's code
+    (`_monic_code`).
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    if allowed is None:
-        allowed = tuple(field.elements())
-    else:
-        allowed = tuple(sorted(allowed))
-        if not allowed:
-            raise ValueError("allowed coefficient set must be nonempty")
-    if n == 0:
-        yield Poly.one(field)
-        return
-    for lower in product(allowed, repeat=n):
-        yield Poly(field, lower + (1,))
+    allowed = tuple(field.elements()) if allowed is None else tuple(sorted(allowed))
+    if not allowed:
+        raise ValueError("allowed coefficient set must be nonempty")
+    for high_first in product(allowed, repeat=n):
+        yield Poly(field, high_first[::-1] + (1,))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ffdigits import checks
@@ -22,6 +23,7 @@ from ffdigits.checks import (
     check_theorem_trend,
     run_check,
 )
+from ffdigits.circle import farey_windows
 from ffdigits.field import get_field
 from ffdigits.laurent import RationalPoint, frac_digits
 from ffdigits.polys import Poly, euler_phi
@@ -168,6 +170,23 @@ def test_pointwise_witnesses_reproduce_their_lhs():
     assert rec.violations
     assert len(calls) == len(sets) * n_max * 3
     assert {args[3] for args in calls} == {1, 2, 3}
+    # every point is a case: 12,896 denominators not t^d, per set and n
+    assert rec.cases == 12_896 * len(sets) * n_max == 193_440
+    # each (set, n) records its largest margins: no unrecorded violation beats them
+    fw = farey_windows(F5, 1, 3, n_max + 1)
+    other = fw.g_codes != 0
+    for forb in sets:
+        R = RestrictedSet(F5, forb)
+        for n in range(1, n_max + 1):
+            lhs = np.abs(s_r_at(R, n, fw.windows))[other]
+            rhs = np.array([lemma6_bound(p, p - 1, n, int(d)) for d in fw.degs[other]])
+            margins = np.sort((lhs - rhs)[lhs > rhs * (1 + 1e-9) + 1e-9])[::-1]
+            recorded = sorted(
+                (m for m, w in rec.violations if w["forbidden"] == sorted(forb) and w["n"] == n),
+                reverse=True,
+            )
+            assert 0 < len(recorded) == min(len(margins), checks.MAX_WITNESSES)
+            assert recorded == pytest.approx(margins[: len(recorded)], rel=1e-12, abs=1e-12)
     for _, witness in rec.violations:
         num, den = witness["point"].split("/")
         x = RationalPoint(Poly.parse(F5, num), Poly.parse(F5, den))

@@ -62,12 +62,18 @@ def test_farey_count_is_phi_sum():
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_farey_windows_match_oracle(q):
+def test_farey_windows_match_oracle(q, monkeypatch):
     spec = FieldSpec.from_q(q)
     field = get_field(spec.p, spec.k, spec.modulus)
     top = 3 if q < 7 else 2
     oracle = list(farey_enumerate(field, top))
     oracle_windows = np.array([frac_digits(x, 9) for x in oracle], dtype=np.int64)
+
+    def banned(*args):
+        raise AssertionError("coprimality read an irreducible list")
+
+    # coprimality comes from the windows' own digits
+    monkeypatch.setattr(polys, "irreducible_rows", banned)
     for d_max in range(top + 1):
         for d_min in (0, 1):
             keep = [i for i, x in enumerate(oracle) if d_min <= x.g.degree <= d_max]
@@ -240,7 +246,7 @@ def test_lemma1_blocks_rows(monkeypatch):
 # phi-ratio bound
 
 def test_lemma5_examples():
-    # ratios are indexed by the monic's place in enumerate_monic order
+    # ratios are indexed by the monic's code, its place in enumerate_monic order
     ratio, bound = lemma5_ratio(F2, 1)
     assert ratio[polys._monic_code(Poly(F2, (1, 1)))] == 2.0
     assert abs(bound - math.e) < 1e-12

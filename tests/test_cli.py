@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ffdigits import census, charsum, checks, circle, cli, polys
+from ffdigits import census, charsum, checks, cli, field, polys
 from ffdigits.census import count_restricted
 from ffdigits.charsum import RestrictedSet
 from ffdigits.circle import PredictorParams
@@ -18,7 +18,7 @@ from ffdigits.cli import (
     build_parser,
     main,
 )
-from ffdigits.field import get_field
+from ffdigits.field import default_modulus, get_field
 
 
 def run(capsys, *argv):
@@ -37,6 +37,22 @@ def test_count_extension_field(capsys):
     code, out, _ = run(capsys, "count", "--q", "4", "--n", "2")
     assert code == EXIT_OK
     assert out.strip() == "6"
+
+
+def test_count_builds_its_field_once(capsys, monkeypatch):
+    # over F_9 Rabin's test runs only in the search for the default modulus:
+    # t^2 is reducible and t^2 + 1 is not
+    calls = []
+    rabin = field._irreducible_over_prime_field
+    monkeypatch.setattr(
+        field, "_irreducible_over_prime_field", lambda m, p: calls.append(m) or rabin(m, p)
+    )
+    get_field.cache_clear()
+    default_modulus.cache_clear()
+    code, out, _ = run(capsys, "count", "--q", "9", "--n", "3")
+    assert code == EXIT_OK
+    assert out.strip() == "240"
+    assert calls == [(0, 0, 1), (1, 0, 1)]
 
 
 def test_predict(capsys):
@@ -149,7 +165,7 @@ def test_verify_refuses_farey_windows_past_their_bound(capsys, monkeypatch, argv
     def banned(*args):
         raise AssertionError("built an irreducible list past the bound")
 
-    for module in (polys, circle, charsum):
+    for module in (polys, charsum):
         monkeypatch.setattr(module, "irreducible_rows", banned)
     code, out, err = run(capsys, "verify", *argv)
     assert code == EXIT_USAGE

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffdigits import polys
-from ffdigits.field import get_field, matmul
+from ffdigits.field import digits, get_field, matmul
 from ffdigits.polys import (
     Poly,
     enumerate_monic,
@@ -19,7 +19,6 @@ from ffdigits.polys import (
     poly_gcd,
     pow_mod,
     prime_count,
-    prime_divisors,
     remainder_bases,
 )
 
@@ -160,10 +159,13 @@ def test_sieve_lists_and_bases_match_rabin(field, d_max, monkeypatch):
 
 @pytest.fixture
 def fresh_berlekamp_lists():
-    """Every Berlekamp list is built inside the test and none outlives it."""
+    """Every Berlekamp list, and mu and phi from them, is built inside the test
+    and none outlives it."""
     irreducible_rows.cache_clear()
+    polys.mobius_phi.cache_clear()
     yield
     irreducible_rows.cache_clear()
+    polys.mobius_phi.cache_clear()
 
 
 def _ban_rabin_and_poly(m):
@@ -285,14 +287,10 @@ def _trial_division(f):
 def test_divisor_sieve_matches_trial_division(field, d_max, fresh_berlekamp_lists):
     q = field.q
     for d in range(d_max + 1):
-        start, e, w = prime_divisors(field, d)
-        assert len(start) == q**d + 1 and not start.flags.writeable
-        for j, f in enumerate(enumerate_monic(field, d)):
+        for x in polys.mobius_phi(field, d):
+            assert len(x) == q**d and not x.flags.writeable
+        for f in enumerate_monic(field, d):
             divisors = _trial_division(f)
-            pairs = range(start[j], start[j + 1])
-            assert [(e[i], tuple(irreducible_rows(field, e[i])[w[i]])) for i in pairs] == sorted(
-                divisors
-            )
             squarefree = all(m == 1 for m in divisors.values())
             assert mobius(f) == ((-1) ** len(divisors) if squarefree else 0)
             phi = 1
@@ -362,6 +360,27 @@ def test_enumerate_monic():
     linear = list(enumerate_monic(F3, 1))
     assert linear == [P(F3, 0, 1), P(F3, 1, 1), P(F3, 2, 1)]
     assert len(list(enumerate_monic(F3, 3, allowed={0, 1}))) == 2**3
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4])
+def test_monic_code_is_one_order(field, fresh_berlekamp_lists):
+    # a monic's code is sum c_i q^i, c_0 least significant, everywhere
+    q = field.q
+    for d in range(4):
+        for j, f in enumerate(enumerate_monic(field, d)):
+            assert f.coeffs == digits(j, q, d) + (1,)
+            assert f == polys.monic_of_code(field, d, j)
+            assert polys._monic_code(f) == j
+        for rows in (irreducible_rows(field, d), irreducible_codes(field, d)):
+            assert (np.diff(rows @ q ** np.arange(d)) > 0).all()
+    # with a restricted set, the j-th monic is the census's candidate j
+    allowed, n = (0, q - 1), 4
+    tables = polys.sieve_tables(field, n, allowed)
+    candidates = list(enumerate_monic(field, n, allowed))
+    for j, f in enumerate(candidates):
+        assert f.coeffs == tuple(allowed[c] for c in digits(j, 2, n)) + (1,)
+    survivors = polys.sieve(tables, np.arange(len(candidates), dtype=np.int64))
+    assert survivors.tolist() == [j for j, f in enumerate(candidates) if is_irreducible(f)]
 
 
 def test_enumerate_monic_rejects_empty_allowed():
