@@ -5,11 +5,15 @@ every candidate with an irreducible factor of degree at most n/2 with the
 remainder-code sieve of `polys`.  It splits a candidate into a low half and a
 high half, f = low + t^h high + t^n, and tabulates once per count the
 remainder of every low half and of minus every high half modulo each such
-irreducible, packed into one integer code.  An irreducible g divides f exactly
-when the two codes of f's halves agree, so each sieve stage is one comparison
-of codes per (candidate, g).  The same sieve lists the irreducibles it divides
-by.  Chunk counts are plain integers merged in chunk order, so the result is
-identical for any worker count.
+irreducible g, packed into one integer code; g divides f exactly when the two
+codes agree.  A degree whose codes are dense is sieved by marks: its low table
+is inverted into lists of the low halves per (g, code), and every high half of
+a chunk marks the low halves listed under its own codes.  A degree is inverted
+exactly when its lists, padded to one width, hold at most twice the entries of
+its low table.  The other degrees compare the two codes per (surviving
+candidate, g).  The same sieve lists the irreducibles it divides by.  Chunk
+counts are plain integers merged in chunk order, so the result is identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -22,11 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .charsum import RestrictedSet
 from .circle import PredictorParams, error_budget, predictor
-from .field import get_field
 from .polys import prime_count, sieve, sieve_tables
 
 DEFAULT_BUDGET = 10**8
@@ -44,16 +45,15 @@ class BudgetError(RuntimeError):
 # the chunk kernel
 
 @lru_cache(maxsize=1)
-def _sieve_tables(field, n: int, allowed: tuple) -> list:
+def _sieve_tables(field, n: int, allowed: tuple) -> tuple:
     """`polys.sieve_tables`, kept for the chunks of one count."""
     return sieve_tables(field, n, allowed)
 
 
 def _census_chunk(args) -> int:
-    p, k, modulus, forbidden, n, start, stop = args
-    field = get_field(p, k, modulus)
+    field, forbidden, n, start, stop = args
     allowed = tuple(c for c in field.elements() if c not in forbidden)
-    return len(sieve(_sieve_tables(field, n, allowed), np.arange(start, stop, dtype=np.int64)))
+    return len(sieve(_sieve_tables(field, n, allowed), start, stop))
 
 
 def count_restricted(
@@ -76,15 +76,7 @@ def count_restricted(
         return 0
     _check_sieve_budget(field.q, field.q - R.s, n, budget)
     chunks = (
-        (
-            field.p,
-            field.k,
-            field.modulus,
-            frozenset(R.forbidden),
-            n,
-            lo,
-            min(lo + _CHUNK, total),
-        )
+        (field, frozenset(R.forbidden), n, lo, min(lo + _CHUNK, total))
         for lo in range(0, total, _CHUNK)
     )
     if workers > 1 and total > _CHUNK:

@@ -148,15 +148,14 @@ class FieldSpec:
             if self.q > _TABLE_LIMIT:
                 raise FieldError(f"extension field of size {self.q} unsupported")
             if modulus is None:
+                # found irreducible by its search
                 modulus = default_modulus(p, k)
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise FieldError("modulus must be monic of degree k")
-            # the default modulus was found irreducible by its search
-            if modulus != default_modulus(p, k) and not _irreducible_over_prime_field(
-                modulus, p
-            ):
-                raise FieldError("modulus is reducible over the prime field")
+            else:
+                modulus = tuple(c % p for c in modulus)
+                if len(modulus) != k + 1 or modulus[-1] != 1:
+                    raise FieldError("modulus must be monic of degree k")
+                if not _irreducible_over_prime_field(modulus, p):
+                    raise FieldError("modulus is reducible over the prime field")
             self.modulus = modulus
         self._mul_table = None
         self._add_table = None
@@ -177,7 +176,8 @@ class FieldSpec:
         return hash(self._key())
 
     def __reduce__(self):
-        return (FieldSpec, (self.p, self.k, self.modulus))
+        # interned on unpickling, so a pool worker tests the modulus once
+        return (get_field, (self.p, self.k, self.modulus))
 
     def __repr__(self):
         return f"FieldSpec({self.spec_string()!r})"

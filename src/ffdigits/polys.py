@@ -356,70 +356,116 @@ def irreducible_polys(field: FieldSpec, d: int) -> tuple:
 # the remainder-code sieve and the irreducible lists it builds
 
 # Most entries that one step of the sieve holds at once: a block of remainder
-# bases, a remainder product while tabulating codes, or the codes that a stage
-# compares.  Beyond its tables and its chunk, a census then holds a few such
-# blocks.  On a host with 2 MB of L2 per core, 2^16 and 2^17 sieved fastest of
-# 2^14 ... 2^20 at q = 17, n = 6 and q = 3, n = 20 (2^20 took 3.5x as long at
-# q = 17), and 2^16 holds less.
+# bases, a remainder product while tabulating codes, the inverse entries that a
+# mark stage gathers, or the codes that a compare stage compares.  Beyond its
+# tables and its chunk, a census then holds a few such blocks.  On a host with
+# 2 MB of L2 per core, 2^16 and 2^17 sieved fastest of 2^14 ... 2^20 at
+# q = 17, n = 6 and q = 3, n = 20 (2^20 took 3.5x as long at q = 17), and 2^16
+# holds less.
 _BLOCK = 1 << 16
 # Candidates sieved at once while listing irreducibles.
 _CANDIDATES = 1 << 15
 
 
-def _codes(field, A: np.ndarray, basis: np.ndarray, d: int, out: np.ndarray):
-    """Write into `out` the codes sum_i r_i q^i of the degree-<d remainders
-    A @ basis, one per d columns of `basis`."""
+def _codes(field, A: np.ndarray, G: np.ndarray, powers: range) -> np.ndarray:
+    """The codes sum_i r_i q^i of the remainders mod every g of G of the
+    polynomials sum_k A[:, k] t^powers[k], as a (len(A), len(G)) array."""
+    d = G.shape[1]
+    out = np.empty((len(A), len(G)), dtype=np.min_scalar_type(field.q**d - 1))
     weights = field.q ** np.arange(d, dtype=np.int64)
-    step = max(1, _BLOCK // basis.shape[1])
-    for i in range(0, len(A), step):
-        rem = matmul(field, A[i : i + step], basis)
-        out[i : i + step] = rem.reshape(len(rem), -1, d) @ weights
+    # the bases of all of G hold powers.stop d len(G) entries, which no budget counts
+    step = max(1, _BLOCK // (powers.stop * d))
+    for i in range(0, len(G), step):
+        # d columns per g; the copy drops the bases before the products
+        basis = remainder_bases(field, G[i : i + step], powers.stop - 1)[:, powers.start :]
+        basis = basis.transpose(1, 0, 2).reshape(len(powers), -1)
+        rows = max(1, _BLOCK // basis.shape[1])
+        for k in range(0, len(A), rows):
+            rem = matmul(field, A[k : k + rows], basis)
+            out[k : k + rows, i : i + step] = rem.reshape(len(rem), -1, d) @ weights
+    return out
 
 
-def sieve_tables(field: FieldSpec, n: int, allowed: tuple) -> list:
-    """Per degree d <= n/2: (lowcode, highcode) over the irreducibles of degree d.
+def sieve_tables(field: FieldSpec, n: int, allowed: tuple) -> tuple:
+    """(m^h, marks, compares): one sieve stage per irreducible degree d <= n/2.
 
     The candidate with index L + m^h H (m = len(allowed), h = n - n//2) is
     low_L + t^h high_H + t^n, where low_L carries c_0..c_{h-1} and high_H
     carries c_h..c_{n-1}.  lowcode[L, j] is the code of low_L mod g_j and
     highcode[H, j] the code of -(t^h high_H + t^n) mod g_j, so g_j divides the
-    candidate exactly when the two codes are equal.
+    candidate exactly when the two codes are equal.  A compare stage keeps
+    (lowcode, highcode).  A mark stage keeps (`_invert(lowcode)`, highcode)
+    instead; a degree is marked exactly when its padded inverse holds at most
+    twice the entries of lowcode.
     """
-    if n < 2:
-        return []
     m, half = len(allowed), n // 2
     h = n - half
+    marks, compares = [], []
+    if n < 2:
+        return m**h, marks, compares
     low = np.array(allowed, dtype=np.int64)[digits(np.arange(m**h, dtype=np.int64), m, h)]
     # digit index m stands for the leading coefficient 1
     neg = negate(field, np.array(allowed + (1,), dtype=np.int64))
     high_idx = digits(np.arange(m**half, dtype=np.int64), m, half)
     high = neg[np.concatenate([high_idx, np.full((m**half, 1), m)], axis=1)]
-    tables = []
     for d in range(1, half + 1):
         G = irreducible_codes(field, d)
-        code_type = np.min_scalar_type(field.q**d - 1)
-        lowcode = np.empty((len(low), len(G)), dtype=code_type)
-        highcode = np.empty((len(high), len(G)), dtype=code_type)
-        # the bases of all of G hold (n+1) d len(G) entries, which no budget counts
-        step = max(1, _BLOCK // ((n + 1) * d))
-        for i in range(0, len(G), step):
-            # d columns per g; the copy drops the bases before the products
-            basis = remainder_bases(field, G[i : i + step], n).transpose(1, 0, 2)
-            basis = basis.reshape(n + 1, -1)
-            _codes(field, low, basis[:h], d, lowcode[:, i : i + step])
-            _codes(field, high, basis[h:], d, highcode[:, i : i + step])
-        tables.append((lowcode, highcode))
-    return tables
+        lowcode = _codes(field, low, G, range(h))
+        inverse = _invert(lowcode, field.q**d)
+        if inverse is not None:
+            lowcode = None  # dropped before the high table is built
+        highcode = _codes(field, high, G, range(h, n + 1))
+        if inverse is None:
+            compares.append((lowcode, highcode))
+        else:
+            marks.append((inverse, highcode))
+    return m**h, marks, compares
 
 
-def sieve(tables: list, idx: np.ndarray) -> np.ndarray:
-    """The candidate indices L + m^h H (`sieve_tables`) whose codes agree for
-    no irreducible of `tables`; the low tables have the m^h rows."""
-    if not tables:
-        return idx
-    split = len(tables[0][0])
-    L, H = idx % split, idx // split
-    for lowcode, highcode in tables:
+def _invert(lowcode: np.ndarray, size: int):
+    """Row j size + c lists, in order, the rows L with lowcode[L, j] = c, padded
+    with len(lowcode) up to the widest list; None if that holds more than twice
+    the entries of lowcode."""
+    split = len(lowcode)
+    if size > 2 * split:  # every list is padded to width >= 1
+        return None
+    width = max(np.bincount(col, minlength=size).max() for col in lowcode.T)
+    if size * width > 2 * split:
+        return None
+    inverse = np.full((lowcode.shape[1] * size, width), split, dtype=np.min_scalar_type(split))
+    for j, col in enumerate(lowcode.T):
+        order = np.argsort(col, kind="stable")  # a radix sort on uint8 and uint16
+        codes = col[order]
+        counts = np.bincount(codes, minlength=size)
+        first = np.cumsum(counts) - counts
+        inverse[j * size : (j + 1) * size][codes, np.arange(split) - first[codes]] = order
+    return inverse
+
+
+def sieve(tables: tuple, start: int, stop: int) -> np.ndarray:
+    """The candidate indices in [start, stop) (`sieve_tables`) whose codes agree
+    for no irreducible of `tables`.
+
+    The mark stages set dead[H, L] for every low row L that an inverse lists
+    under a code of the high row H; the compare stages then test the codes of
+    the survivors.
+    """
+    split, marks, compares = tables
+    h0 = start // split
+    # column split takes the padding of the inverses
+    dead = np.zeros(((stop - 1) // split + 1 - h0, split + 1), dtype=bool)
+    for inverse, highcode in marks:
+        width, g = inverse.shape[1], highcode.shape[1]
+        size = len(inverse) // g
+        # gather at most _BLOCK entries of the inverse at once
+        step = max(1, _BLOCK // width)
+        for i in range(0, dead.shape[0] * g, step):
+            H, j = np.divmod(np.arange(i, min(i + step, dead.shape[0] * g)), g)
+            dead[H[:, None], inverse[j * size + highcode[h0 + H, j]]] = True
+    offset = h0 * split
+    idx = start + np.flatnonzero(~dead[:, :split].ravel()[start - offset : stop - offset])
+    H, L = np.divmod(idx, split)
+    for lowcode, highcode in compares:
         # compare at most _BLOCK codes of each table at once
         step = max(1, _BLOCK // lowcode.shape[1])
         keep = np.empty(len(L), dtype=bool)
@@ -446,10 +492,7 @@ def irreducible_codes(field: FieldSpec, d: int) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     q = field.q
     tables = sieve_tables(field, d, tuple(field.elements()))
-    found = [
-        sieve(tables, np.arange(lo, min(lo + _CANDIDATES, q**d), dtype=np.int64))
-        for lo in range(0, q**d, _CANDIDATES)
-    ]
+    found = [sieve(tables, lo, min(lo + _CANDIDATES, q**d)) for lo in range(0, q**d, _CANDIDATES)]
     rows = digits(np.concatenate(found), q, d)
     rows.flags.writeable = False
     return rows
@@ -488,7 +531,7 @@ def mobius_phi(field: FieldSpec, d: int) -> tuple:
     omega, sum_e = (np.zeros(q**d, dtype=np.int64) for _ in range(2))
     phi = np.ones(q**d, dtype=np.int64)
     for e in range(1, d + 1):
-        W = irreducible_rows(field, e)
+        W = irreducible_codes(field, e)
         m = d - e
         H = np.concatenate(
             [digits(np.arange(q**m, dtype=np.int64), q, m), np.ones((q**m, 1), dtype=np.int64)],

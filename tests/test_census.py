@@ -23,8 +23,8 @@ from ffdigits.census import (
     write_json,
 )
 from ffdigits.charsum import RestrictedSet
-from ffdigits.field import get_field
-from ffdigits.polys import enumerate_monic, is_irreducible, prime_count
+from ffdigits.field import digits, get_field
+from ffdigits.polys import enumerate_monic, irreducible_codes, is_irreducible, prime_count
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -162,26 +162,106 @@ def test_block_size_leaves_the_sieve_unchanged(field, forbidden, n, block, monke
     # tables and stages are cut into blocks of at most _BLOCK entries; the cut
     # must not show in the tables, the survivors or the count
     allowed = tuple(c for c in field.elements() if c not in forbidden)
-    idx = np.arange(len(allowed) ** n, dtype=np.int64)
+    total = len(allowed) ** n
     R = RestrictedSet(field, frozenset(forbidden))
     tables = polys.sieve_tables(field, n, allowed)
-    survivors = polys.sieve(tables, idx)
+    survivors = polys.sieve(tables, 0, total)
     count = count_restricted(R, n)
     monkeypatch.setattr(polys, "_BLOCK", block)
     census._sieve_tables.cache_clear()
     blocked = polys.sieve_tables(field, n, allowed)
-    for (low, high), (low_b, high_b) in zip(tables, blocked, strict=True):
-        assert low.dtype == low_b.dtype and np.array_equal(low, low_b)
-        assert high.dtype == high_b.dtype and np.array_equal(high, high_b)
-    assert np.array_equal(polys.sieve(blocked, idx), survivors)
+    assert blocked[0] == tables[0]
+    for stages, stages_b in zip(tables[1:], blocked[1:], strict=True):
+        for stage, stage_b in zip(stages, stages_b, strict=True):
+            for a, b in zip(stage, stage_b, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(polys.sieve(blocked, 0, total), survivors)
     assert count_restricted(R, n) == count
+
+
+def _candidate_rows(allowed, n):
+    """Coefficient rows of the candidates of degree n, by candidate index."""
+    return np.array(allowed, dtype=np.int64)[digits(np.arange(len(allowed) ** n), len(allowed), n)]
+
+
+def _berlekamp_survivors(field, allowed, n):
+    """Indices of the irreducible candidates, by Berlekamp's test on each one."""
+    rows = _candidate_rows(allowed, n)
+    return np.concatenate(
+        [np.flatnonzero(polys._berlekamp_irreducible(field, rows[i : i + 512])) + i
+         for i in range(0, len(rows), 512)]
+    )
+
+
+@pytest.mark.parametrize(
+    "field,forbidden,n", [(F9, (6, 8), 6), (F3, (0,), 12), (F4, (0,), 7), (F5, (0,), 8)]
+)
+def test_mark_and_compare_stages_match_berlekamp(field, forbidden, n):
+    # shapes where low degrees are marked through inverted tables and higher
+    # ones compared; F_5 marks a degree at ratio 1.95, just under the rule's 2
+    allowed = tuple(c for c in field.elements() if c not in forbidden)
+    tables = polys.sieve_tables(field, n, allowed)
+    _, marks, compares = tables
+    assert marks and compares
+    expected = _berlekamp_survivors(field, allowed, n)
+    assert np.array_equal(polys.sieve(tables, 0, len(allowed) ** n), expected)
+    assert count_restricted(RestrictedSet(field, frozenset(forbidden)), n) == len(expected)
+
+
+@pytest.mark.parametrize(
+    "field,forbidden,n",
+    [(F3, (0,), 12), (F4, (0,), 7), (F5, (0,), 8), (F2, (), 12), (F17, (0,), 4), (F9, (6, 8), 4)],
+)
+def test_a_degree_is_inverted_exactly_when_its_inverse_is_small(field, forbidden, n):
+    # a degree is marked exactly when its padded inverse holds at most twice the
+    # entries of its low table; the inverse lists each code's low rows in order
+    allowed = tuple(c for c in field.elements() if c not in forbidden)
+    split, marks, compares = polys.sieve_tables(field, n, allowed)
+    h = n - n // 2
+    low = _candidate_rows(allowed, h)
+    inverted = [len(inverse) // high.shape[1] for inverse, high in marks]
+    for d in range(1, n // 2 + 1):
+        size = field.q**d
+        lowcode = polys._codes(field, low, irreducible_codes(field, d), range(h))
+        width = max(np.bincount(col, minlength=size).max() for col in lowcode.T)
+        assert (size in inverted) == (size * width <= 2 * split)
+        if size in inverted:
+            inverse = marks[inverted.index(size)][0]
+            assert inverse.shape == (lowcode.shape[1] * size, width)
+            assert inverse.dtype == np.min_scalar_type(split)
+            for j, col in enumerate(lowcode.T):
+                for c in range(size):
+                    rows = np.flatnonzero(col == c)
+                    listed = inverse[j * size + c]
+                    assert listed[: len(rows)].tolist() == rows.tolist()
+                    assert (listed[len(rows) :] == split).all()
+        else:
+            assert any(np.array_equal(lowcode, table) for table, _ in compares)
+    assert len(marks) + len(compares) == n // 2
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_chunks_that_cut_high_rows(n, monkeypatch):
+    # 37 is prime to m^h = 3^h, so every chunk but the first starts inside a
+    # high row; marks gather and stages compare in odd blocks
+    allowed = (1, 2, 3)
+    R = RestrictedSet.of(F4, 0)
+    expected = _berlekamp_survivors(F4, allowed, n)
+    monkeypatch.setattr(census, "_CHUNK", 37)
+    monkeypatch.setattr(polys, "_BLOCK", 29)
+    census._sieve_tables.cache_clear()
+    tables = polys.sieve_tables(F4, n, allowed)
+    assert tables[0] == 3 ** (n - n // 2)
+    found = [polys.sieve(tables, lo, min(lo + 37, 3**n)) for lo in range(0, 3**n, 37)]
+    assert np.array_equal(np.concatenate(found), expected)
+    assert count_restricted(R, n) == count_restricted(R, n, workers=2) == len(expected)
 
 
 def test_census_working_set_is_its_tables_and_a_few_blocks():
     # beyond its tables, a census holds its chunk's indices and a few blocks of
     # 2^16 int64 entries: the remainder products of the table build and the
-    # codes that one stage compares.  Codes gathered for a whole chunk against
-    # the 136 irreducibles of degree 2 would take ~9 MB here.
+    # inverse entries that one stage marks.  Codes gathered for a whole chunk
+    # against the 136 irreducibles of degree 2 would take ~9 MB here.
     R = RestrictedSet.of(F17, 0)
     count_restricted(R, 5)  # the irreducible lists of degrees 1 and 2
     census._sieve_tables.cache_clear()
@@ -191,8 +271,8 @@ def test_census_working_set_is_its_tables_and_a_few_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    tables = census._sieve_tables(F17, 5, tuple(range(1, 17)))
-    table_bytes = sum(low.nbytes + high.nbytes for low, high in tables)
+    _, marks, compares = census._sieve_tables(F17, 5, tuple(range(1, 17)))
+    table_bytes = sum(table.nbytes for stage in marks + compares for table in stage)
     assert peak - table_bytes < 4 * (1 << 16) * 8
 
 
@@ -320,7 +400,7 @@ from ffdigits.charsum import RestrictedSet
 from ffdigits.field import get_field
 
 def first_chunk(args):
-    raise RuntimeError(f"first chunk at {{args[5]}}")
+    raise RuntimeError(f"first chunk at {{args[3]}}")
 
 census._census_chunk = first_chunk
 try:

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,28 @@ def test_count_builds_its_field_once(capsys, monkeypatch):
     assert code == EXIT_OK
     assert out.strip() == "240"
     assert calls == [(0, 0, 1), (1, 0, 1)]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_count_tests_an_explicit_modulus_once(capsys, monkeypatch, workers):
+    # t^2 + 2t + 2 is irreducible over F_3; no default modulus is searched for,
+    # and the census and its pool workers reuse the field
+    calls = []
+    rabin = field._irreducible_over_prime_field
+    monkeypatch.setattr(
+        field, "_irreducible_over_prime_field", lambda m, p: calls.append(m) or rabin(m, p)
+    )
+    get_field.cache_clear()
+    default_modulus.cache_clear()
+    code, out, _ = run(
+        capsys, "count", "--q", "9", "--n", "6", "--ext-modulus", "2,2,1", "--workers", workers
+    )
+    assert code == EXIT_OK
+    assert out.strip() == str(polys.prime_count(9, 6))
+    # a pool worker unpickles its field through get_field, so it tests the modulus once
+    F9 = get_field(3, 2, (2, 2, 1))
+    assert pickle.loads(pickle.dumps(F9)) is F9
+    assert calls == [(2, 2, 1)]
 
 
 def test_predict(capsys):
@@ -167,6 +190,7 @@ def test_verify_refuses_farey_windows_past_their_bound(capsys, monkeypatch, argv
 
     for module in (polys, charsum):
         monkeypatch.setattr(module, "irreducible_rows", banned)
+    monkeypatch.setattr(polys, "irreducible_codes", banned)
     code, out, err = run(capsys, "verify", *argv)
     assert code == EXIT_USAGE
     assert "Farey windows" in err and "exceed their bound" in err

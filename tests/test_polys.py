@@ -252,9 +252,14 @@ def test_sieve_tables_build_bases_in_blocks(monkeypatch):
     blocked = polys.sieve_tables(F3, 16, (0, 2))
     assert max(built) <= 1000
     assert products and max(products) <= 1000
-    for (low, high), (low_b, high_b) in zip(whole, blocked):
-        assert low.dtype == low_b.dtype and (low == low_b).all() and (high == high_b).all()
-    assert [low.shape[1] for low, _ in blocked] == [prime_count(3, d) for d in range(1, 9)]
+    for stages, stages_b in zip(whole[1:], blocked[1:], strict=True):
+        for (first, high), (first_b, high_b) in zip(stages, stages_b, strict=True):
+            assert first.dtype == first_b.dtype and (first == first_b).all()
+            assert (high == high_b).all()
+    _, marks, compares = blocked
+    assert [high.shape[1] for _, high in marks + compares] == [
+        prime_count(3, d) for d in range(1, 9)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +289,17 @@ def _trial_division(f):
 @pytest.mark.parametrize(
     "field,d_max", [(F2, 6), (F3, 5), (F4, 4), (F5, 3), (F8, 3), (F9, 3)]
 )
-def test_divisor_sieve_matches_trial_division(field, d_max, fresh_berlekamp_lists):
+def test_divisor_sieve_matches_trial_division(field, d_max, fresh_berlekamp_lists, monkeypatch):
+    # the divisors come from the sieve lists; the Berlekamp lists are not built
+    def banned(*args):
+        raise AssertionError("mobius_phi built a Berlekamp list")
+
     q = field.q
     for d in range(d_max + 1):
-        for x in polys.mobius_phi(field, d):
+        with monkeypatch.context() as m:
+            m.setattr(polys, "irreducible_rows", banned)
+            arrays = polys.mobius_phi(field, d)
+        for x in arrays:
             assert len(x) == q**d and not x.flags.writeable
         for f in enumerate_monic(field, d):
             divisors = _trial_division(f)
@@ -303,7 +315,8 @@ def test_divisor_sieve_refuses_past_its_bound(monkeypatch):
     def banned(*args):
         raise AssertionError("built an irreducible list past the bound")
 
-    monkeypatch.setattr(polys, "irreducible_rows", banned)
+    for lister in ("irreducible_codes", "irreducible_rows"):
+        monkeypatch.setattr(polys, lister, banned)
     with pytest.raises(ValueError, match="exceeds its bound"):
         euler_phi(Poly.t(F2, 40))
 
@@ -379,7 +392,7 @@ def test_monic_code_is_one_order(field, fresh_berlekamp_lists):
     candidates = list(enumerate_monic(field, n, allowed))
     for j, f in enumerate(candidates):
         assert f.coeffs == tuple(allowed[c] for c in digits(j, 2, n)) + (1,)
-    survivors = polys.sieve(tables, np.arange(len(candidates), dtype=np.int64))
+    survivors = polys.sieve(tables, 0, len(candidates))
     assert survivors.tolist() == [j for j, f in enumerate(candidates) if is_irreducible(f)]
 
 

@@ -1,4 +1,4 @@
-"""Wall time and peak RSS of `ffdigits count` at three census shapes larger
+"""Wall time and peak RSS of `ffdigits count` at four census shapes larger
 than the benchmark's, each in a fresh interpreter with one worker.
 
     python3 tools/census_scale.py
@@ -6,7 +6,7 @@ than the benchmark's, each in a fresh interpreter with one worker.
 Run from the root of a checkout; the package is imported from ./src.  The peak
 RSS is the child's ru_maxrss from wait4, in MiB like perfbench's peak_rss_mb.
 Prints one JSON line per shape: its label, the count it printed, wall_s and
-peak_rss_mb.  The shapes need about 10 s to 1 min and 0.1 to 0.8 GB each.
+peak_rss_mb.  The shapes need about 2 s to 40 s and 45 to 400 MB each.
 """
 
 from __future__ import annotations
@@ -20,11 +20,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (label, count arguments); the last one needs twice the default budget
+# (label, count arguments); q=3 n=22 needs twice the default budget, and
+# q=2 R={} n=24 marks every degree through inverted tables of 4096 low rows
 SHAPES = [
     ("q=17 R={0} n=6", ["--q", "17", "--forbid", "0", "--n", "6"]),
     ("q=3 R={0} n=20", ["--q", "3", "--forbid", "0", "--n", "20"]),
     ("q=3 R={0} n=22 budget 2e8", ["--q", "3", "--forbid", "0", "--n", "22", "--budget", "200000000"]),
+    ("q=2 R={} n=24", ["--q", "2", "--n", "24"]),
 ]
 
 
