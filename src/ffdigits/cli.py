@@ -47,13 +47,15 @@ def _default_workers() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=int, help="field size (prime power)")
-    common.add_argument(
+    restricted = argparse.ArgumentParser(add_help=False)
+    restricted.add_argument("--q", type=int, help="field size (prime power)")
+    restricted.add_argument(
         "--ext-modulus",
         help="defining modulus for extension fields, comma-separated F_p residues",
     )
-    common.add_argument("--forbid", default="", help="forbidden coefficients, e.g. 0,3,7")
+    restricted.add_argument("--forbid", default="", help="forbidden coefficients, e.g. 0,3,7")
+    # the commands that run censuses; predict runs none
+    common = argparse.ArgumentParser(add_help=False, parents=[restricted])
     common.add_argument("--workers", type=_positive_int, default=None, help="parallel workers")
     common.add_argument(
         "--budget",
@@ -72,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", parents=[common], help="exact census for one degree")
     p_count.add_argument("--n", type=int, required=True)
 
-    p_pred = sub.add_parser("predict", parents=[common], help="asymptotic predictor value")
+    p_pred = sub.add_parser("predict", parents=[restricted], help="asymptotic predictor value")
     p_pred.add_argument("--n", type=int, required=True)
 
     p_scan = sub.add_parser("scan", parents=[common], help="census reports over a degree range")

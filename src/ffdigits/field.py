@@ -5,7 +5,7 @@ coordinates (c_0, ..., c_{k-1}) relative to the defining modulus has code
 sum_i c_i * p^i.  For prime fields the code is just the residue, so ordinary
 integers double as field elements.  All operations keep elements fully reduced.
 
-The array primitives (negate, add, madd, comb, matmul) broadcast like numpy and
+The array primitives (negate, add, madd, matmul) broadcast like numpy and
 are the only place that chooses between reducing integers mod p (prime fields)
 and gathering from the q x q op tables (extension fields).
 """
@@ -86,15 +86,6 @@ def madd(field: FieldSpec, C: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.nd
     if field.k == 1:
         return (C + A * B) % field.p
     return field.add_table[C, field.mul_table[A, B]]
-
-
-def comb(field: FieldSpec, A, X, B, Y) -> np.ndarray:
-    """A X - B Y over F_q, elementwise, in one call: small batches of
-    elimination updates are dominated by numpy's per-call overhead."""
-    if field.k == 1:
-        return (A * X - B * Y) % field.p
-    mul = field.mul_table
-    return field.add_table[mul[A, X], field.neg_table[mul[B, Y]]]
 
 
 def matmul(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:

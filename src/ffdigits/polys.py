@@ -1,5 +1,6 @@
-"""The ring F_q[t]: arithmetic, gcd, irreducibility, the remainder-code sieve,
-Mobius and totient by a divisor sieve, and counting.
+"""The ring F_q[t]: arithmetic, gcd, Rabin's irreducibility test, the
+remainder-code sieve, the product sieve (irreducible lists, Mobius and
+totient), and counting.
 
 Polynomials are immutable dense coefficient tuples (ascending powers of t) of
 field element codes.  The zero polynomial is the empty tuple with degree -1.
@@ -12,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import FieldError, FieldSpec, comb, digits, is_prime, madd, matmul, negate
+from .field import FieldError, FieldSpec, digits, is_prime, madd, matmul, negate
 
 
 class Poly:
@@ -145,13 +146,6 @@ class Poly:
             return self
         return self.scale(self.field.inv(self.leading))
 
-    def __call__(self, x: int) -> int:
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
     # -- identity / display --------------------------------------------------
 
     def __eq__(self, other):
@@ -242,7 +236,7 @@ def remainder_bases(field: FieldSpec, G: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# irreducibility: Rabin's test, and the cached lists by Berlekamp's test
+# irreducibility: Rabin's test
 
 def is_irreducible(f: Poly) -> bool:
     """Rabin test: t^{q^n} = t mod f and gcd(t^{q^{n/l}} - t, f) = 1 for primes l | n."""
@@ -262,106 +256,16 @@ def is_irreducible(f: Poly) -> bool:
     return h == t
 
 
-# Largest block of remainder bases, in entries, built at once by the Berlekamp
-# test.  At 2^16 the blocks' temporaries raised the peak RSS of the identity
-# benchmark ops by 1 MB.  At 2^12 and 2^13 the peak moved by no more than the
-# 0.35 MB by which the heap layout varies from build to build, and 2^13 saved
-# only 4% of the wall time.
-_BERLEKAMP_BLOCK = 1 << 12
-
-
-def _nullity_one(field: FieldSpec, Q: np.ndarray) -> np.ndarray:
-    """rank(Q_f - I) == d - 1 for each d x d matrix Q_f of Q, by fraction-free
-    Gaussian elimination over F_q, one column of every matrix per step."""
-    N, d, _ = Q.shape
-    M = comb(field, 1, Q, 1, np.eye(d, dtype=np.int64))
-    rows = np.arange(N)
-    free = np.ones((N, d), dtype=bool)  # rows not yet used as a pivot
-    rank = np.zeros(N, dtype=np.int64)
-    for c in range(d):
-        nonzero = (M[:, :, c] != 0) & free
-        has = nonzero.any(axis=1)
-        piv = nonzero.argmax(axis=1)
-        pivot_row = M[rows, piv]
-        # every row r becomes pivot * r - r[c] * pivot_row, which clears column
-        # c off the free rows and keeps their span; the pivot row itself becomes
-        # zero and is never read again, and a matrix without a pivot is unchanged
-        scale = np.where(has, pivot_row[:, c], 1)
-        factor = np.where(has[:, None], M[:, :, c], 0)
-        M = comb(field, scale[:, None, None], M, factor[:, :, None], pivot_row[:, None, :])
-        free[rows[has], piv[has]] = False
-        rank += has
-    return rank == d - 1
-
-
-def _fixes_t(field: FieldSpec, Q: np.ndarray, t_row: np.ndarray) -> np.ndarray:
-    """t Q_f^d == t for each Q_f of Q, given the coefficient row of t mod f:
-    that is, t^(q^d) = t mod f."""
-    h = t_row
-    for _ in range(Q.shape[1]):
-        h = matmul(field, h[:, None, :], Q)[:, 0]
-    return (h == t_row).all(axis=1)
-
-
-def _berlekamp_irreducible(field: FieldSpec, G: np.ndarray) -> np.ndarray:
-    """Berlekamp's test on the monics t^d + g_{d-1} t^{d-1} + ... + g_0, one per
-    row of G: a boolean mask of the irreducible ones.
-
-    Row i of the Frobenius matrix Q_f is t^(iq) mod f.  h -> h^q is F_q-linear
-    on F_q[t]/(f), since every coefficient is fixed by it, and the nullity of
-    Q_f - I counts the distinct irreducible factors of f, squarefree or not.
-    So f is irreducible or a proper power w^e when the rank is d - 1, and
-    t^(q^d) = t mod f then rules out w^e: f divides t^(q^d) - t, which is
-    squarefree.
-    """
-    d = G.shape[1]
-    bases = remainder_bases(field, G, max(1, field.q * (d - 1)))
-    Q = bases[:, : field.q * (d - 1) + 1 : field.q]
-    keep = np.flatnonzero(_nullity_one(field, Q))
-    keep = keep[_fixes_t(field, Q[keep], bases[keep, 1])]
-    irreducible = np.zeros(len(G), dtype=bool)
-    irreducible[keep] = True
-    return irreducible
-
-
-@lru_cache(maxsize=None)
-def irreducible_rows(field: FieldSpec, d: int) -> np.ndarray:
-    """Coefficient rows (c_0, ..., c_{d-1}) of the monic irreducibles of degree
-    d, by increasing code (`enumerate_monic` order), as a read-only int64 array,
-    by a batched Berlekamp test over all q^d monics.
-
-    The census sieve (`irreducible_codes`) and Rabin's test (`is_irreducible`)
-    list the same polynomials by other tests; the tests compare all three.
-    """
-    if d < 1:
-        return np.zeros((0, 0), dtype=np.int64)
-    q = field.q
-    # the bases of one monic hold at most (q (d-1) + 2) d entries
-    step = max(1, _BERLEKAMP_BLOCK // ((q * (d - 1) + 2) * d))
-    found = []
-    for lo in range(0, q**d, step):
-        G = digits(np.arange(lo, min(lo + step, q**d), dtype=np.int64), q, d)
-        found.append(G[_berlekamp_irreducible(field, G)])
-    rows = np.concatenate(found)
-    rows.flags.writeable = False
-    return rows
-
-
-def irreducible_polys(field: FieldSpec, d: int) -> tuple:
-    """All monic irreducibles of degree d as `Poly`, in enumeration order."""
-    return tuple(Poly(field, row + [1]) for row in irreducible_rows(field, d).tolist())
-
-
 # ---------------------------------------------------------------------------
 # the remainder-code sieve and the irreducible lists it builds
 
-# Most entries that one step of the sieve holds at once: a block of remainder
+# Most entries that one step of a sieve holds at once: a block of remainder
 # bases, a remainder product while tabulating codes, the inverse entries that a
-# mark stage gathers, or the codes that a compare stage compares.  Beyond its
-# tables and its chunk, a census then holds a few such blocks.  On a host with
-# 2 MB of L2 per core, 2^16 and 2^17 sieved fastest of 2^14 ... 2^20 at
-# q = 17, n = 6 and q = 3, n = 20 (2^20 took 3.5x as long at q = 17), and 2^16
-# holds less.
+# mark stage gathers, the codes that a compare stage compares, or a block of
+# products w h in the product sieve.  Beyond its tables and its chunk, a census
+# then holds a few such blocks.  On a host with 2 MB of L2 per core, 2^16 and
+# 2^17 sieved fastest of 2^14 ... 2^20 at q = 17, n = 6 and q = 3, n = 20 (2^20
+# took 3.5x as long at q = 17), and 2^16 holds less.
 _BLOCK = 1 << 16
 # Candidates sieved at once while listing irreducibles.
 _CANDIDATES = 1 << 15
@@ -499,7 +403,63 @@ def irreducible_codes(field: FieldSpec, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the divisor sieve: Mobius and totient
+# the product sieve: the irreducible lists that S reads, Mobius and totient
+
+def _multiples(field: FieldSpec, W: np.ndarray, d: int) -> np.ndarray:
+    """The codes of the products w h, for every row w of W and every monic h of
+    degree d - e, as one int64 array; row w holds the non-leading coefficients
+    w_0, ..., w_{e-1} of a monic w of degree e.
+
+    Row i of the banded Toeplitz matrix of w is t^i w, so one matmul of a block
+    of rows (h_0, ..., h_{d-e-1}, 1) with the matrices of a block of w forms
+    all their products; no product holds more than `_BLOCK` entries.  Each
+    product is monic of degree d, and its leading coefficient is not formed.
+    """
+    q, e = field.q, W.shape[1]
+    m = d - e
+    weights = q ** np.arange(d, dtype=np.int64)
+    rows, codes = max(1, _BLOCK // d), []
+    for i in range(0, len(W), rows):
+        block = W[i : i + rows]
+        T = np.zeros((m + 1, len(block), d + 1), dtype=np.int64)
+        for k in range(m + 1):
+            T[k, :, k : k + e] = block
+            T[k, :, k + e] = 1
+        T = T[:, :, :d].reshape(m + 1, -1)
+        step = max(1, _BLOCK // T.shape[1])
+        for lo in range(0, q**m, step):
+            H = digits(np.arange(lo, min(lo + step, q**m), dtype=np.int64), q, m)
+            H = np.concatenate([H, np.ones((len(H), 1), dtype=np.int64)], axis=1)
+            codes.append(matmul(field, H, T).reshape(-1, d) @ weights)
+    return np.concatenate(codes)
+
+
+@lru_cache(maxsize=None)
+def irreducible_rows(field: FieldSpec, d: int) -> np.ndarray:
+    """Coefficient rows (c_0, ..., c_{d-1}) of the monic irreducibles of degree
+    d, by increasing code (`enumerate_monic` order), as a read-only int64 array.
+
+    A monic of degree d is reducible exactly when it has an irreducible divisor
+    of degree e <= d/2, so the irreducibles are the monics whose code no
+    `_multiples` of this function's own list of degree e hits: a sieve of
+    Eratosthenes by multiplication, which shares no list or table with
+    `irreducible_codes` (trial division by remainder codes) or with Rabin's
+    test (`is_irreducible`).  The tests compare all three.
+    """
+    if d < 1:
+        return np.zeros((0, 0), dtype=np.int64)
+    reducible = np.zeros(field.q**d, dtype=bool)
+    for e in range(1, d // 2 + 1):
+        reducible[_multiples(field, irreducible_rows(field, e), d)] = True
+    rows = digits(np.flatnonzero(~reducible), field.q, d)
+    rows.flags.writeable = False
+    return rows
+
+
+def irreducible_polys(field: FieldSpec, d: int) -> tuple:
+    """All monic irreducibles of degree d as `Poly`, in enumeration order."""
+    return tuple(Poly(field, row + [1]) for row in irreducible_rows(field, d).tolist())
+
 
 # Most monics q^d of one degree that `mobius_phi` covers.  It admits every
 # default check and q in {2, 3} up to degree 9.
@@ -511,15 +471,14 @@ def mobius_phi(field: FieldSpec, d: int) -> tuple:
     """(mu, phi) of every monic of degree d, as read-only int64 arrays indexed by
     the monic's code (`enumerate_monic` order), by a multiplicative sieve.
 
-    The products w h over the q^(d-e) monic h of degree d - e are the multiples
-    of degree d of an irreducible w of degree e, and one matmul of the h rows
-    with the banded Toeplitz matrices of the w rows forms them for every w of
-    degree e; a monic's code then occurs once per irreducible divisor of degree
-    e.  Counting the codes per degree gives omega, the number of distinct
-    irreducible divisors, and sum e.  A monic is squarefree exactly when its e
-    sum to d; then mu = (-1)^omega, and otherwise mu = 0.  phi = q^(d - sum e)
-    * prod (q^e - 1), exactly.  The cache keeps one degree, since the checks
-    walk g by degree.
+    The products w h over the monic h of degree d - e are the multiples of
+    degree d of an irreducible w of degree e (`_multiples`, over the sieve list
+    `irreducible_codes`); a monic's code then occurs once per irreducible
+    divisor of degree e.  Counting the codes per degree gives omega, the number
+    of distinct irreducible divisors, and sum e.  A monic is squarefree exactly
+    when its e sum to d; then mu = (-1)^omega, and otherwise mu = 0.
+    phi = q^(d - sum e) * prod (q^e - 1), exactly.  The cache keeps one degree,
+    since the checks walk g by degree.
     """
     q = field.q
     if q**d > _DIVISOR_LIMIT:
@@ -527,22 +486,10 @@ def mobius_phi(field: FieldSpec, d: int) -> tuple:
             f"the divisor sieve over the {q}^{d} monics of degree {d} "
             f"exceeds its bound of {_DIVISOR_LIMIT}"
         )
-    weights = q ** np.arange(d, dtype=np.int64)
     omega, sum_e = (np.zeros(q**d, dtype=np.int64) for _ in range(2))
     phi = np.ones(q**d, dtype=np.int64)
     for e in range(1, d + 1):
-        W = irreducible_codes(field, e)
-        m = d - e
-        H = np.concatenate(
-            [digits(np.arange(q**m, dtype=np.int64), q, m), np.ones((q**m, 1), dtype=np.int64)],
-            axis=1,
-        )  # (h_0, ..., h_{m-1}, 1) of every monic h of degree m
-        T = np.zeros((m + 1, len(W), d + 1), dtype=np.int64)
-        for i in range(m + 1):
-            T[i, :, i : i + e] = W  # row i is t^i w
-            T[i, :, i + e] = 1
-        products = matmul(field, H, T.reshape(m + 1, -1)).reshape(-1, d + 1)
-        divisors = np.bincount(products[:, :d] @ weights, minlength=q**d)
+        divisors = np.bincount(_multiples(field, irreducible_codes(field, e), d), minlength=q**d)
         omega += divisors
         sum_e += e * divisors
         phi *= (q**e - 1) ** divisors

@@ -84,6 +84,14 @@ def test_predict(capsys):
     assert abs(float(out) - (17 / 16) * 16**3 / 3) < 0.01
 
 
+@pytest.mark.parametrize("flag", [("--workers", "2"), ("--budget", "100")])
+def test_predict_takes_no_census_flags(capsys, flag):
+    # predict runs no census, so it has no workers or budget to take
+    code, out, err = run(capsys, "predict", "--q", "17", "--n", "3", *flag)
+    assert code == EXIT_USAGE and out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
 def test_predict_flags_large_s(capsys):
     code, _, err = run(capsys, "predict", "--q", "5", "--forbid", "0,1", "--n", "3")
     assert code == EXIT_OK

@@ -94,12 +94,6 @@ def test_norm():
     assert Poly.zero(F3).norm() == 0
 
 
-def test_evaluate():
-    f = P(F5, 1, 2, 1)  # (t+1)^2
-    assert f(4) == 0
-    assert f(1) == 4
-
-
 # ---------------------------------------------------------------------------
 # irreducibility
 
@@ -158,9 +152,9 @@ def test_sieve_lists_and_bases_match_rabin(field, d_max, monkeypatch):
 
 
 @pytest.fixture
-def fresh_berlekamp_lists():
-    """Every Berlekamp list, and mu and phi from them, is built inside the test
-    and none outlives it."""
+def fresh_product_lists():
+    """Every product-sieve list, and mu and phi, is built inside the test and
+    none outlives it."""
     irreducible_rows.cache_clear()
     polys.mobius_phi.cache_clear()
     yield
@@ -168,20 +162,20 @@ def fresh_berlekamp_lists():
     polys.mobius_phi.cache_clear()
 
 
-def _ban_rabin_and_poly(m):
-    def banned(*args, **kwargs):
-        raise AssertionError("the Berlekamp list built a Poly or ran Rabin's test")
-
-    m.setattr(polys, "Poly", banned)
-    m.setattr(polys, "is_irreducible", banned)
-    for op in ("__add__", "__sub__", "__mul__", "__divmod__", "__mod__"):
-        m.setattr(Poly, op, banned)
-
-
 @pytest.mark.parametrize("field,d_max", LIST_GRID)
-def test_berlekamp_rows_match_rabin_and_sieve(field, d_max, monkeypatch, fresh_berlekamp_lists):
+def test_product_sieve_rows_match_rabin_and_sieve(field, d_max, monkeypatch, fresh_product_lists):
+    # the lists are built by multiplication alone, so the two engines of the
+    # identity check count from lists that share no code
+    def banned(*args, **kwargs):
+        raise AssertionError("the product sieve ran the remainder sieve, Rabin's test or Poly")
+
     with monkeypatch.context() as m:
-        _ban_rabin_and_poly(m)
+        for name in (
+            "irreducible_codes", "sieve_tables", "sieve", "remainder_bases", "is_irreducible", "Poly"
+        ):
+            m.setattr(polys, name, banned)
+        for op in ("__add__", "__sub__", "__mul__", "__divmod__", "__mod__"):
+            m.setattr(Poly, op, banned)
         rows = [irreducible_rows(field, d) for d in range(d_max + 1)]
     assert rows[0].shape == (0, 0)
     for d in range(1, d_max + 1):
@@ -192,43 +186,28 @@ def test_berlekamp_rows_match_rabin_and_sieve(field, d_max, monkeypatch, fresh_b
     assert irreducible_polys(field, 0) == ()
 
 
-# proper powers w^e: one distinct irreducible factor, so nullity 1, but not squarefree
-POWERS = [
-    (F2, (1, 0, 1)),  # (t+1)^2
-    (F2, (1, 0, 1, 0, 1)),  # (t^2+t+1)^2
-    (F2, (0, 0, 0, 0, 1)),  # t^4
-    (F3, (0, 0, 1)),  # t^2
-    (F3, (1, 0, 0, 1)),  # (t+1)^3
-]
+@pytest.mark.parametrize("field,d_max", [(F2, 8), (F3, 5), (F4, 4), (F9, 3)])
+def test_block_size_leaves_the_product_sieve_unchanged(field, d_max, monkeypatch, fresh_product_lists):
+    # 97 cuts the monics h, and for mu and phi at e = d also the irreducibles
+    # w, into uneven blocks; no product w h holds more than _BLOCK entries
+    degrees = range(1, d_max + 1)
+    rows = [irreducible_rows(field, d) for d in degrees]
+    arrays = [polys.mobius_phi(field, d) for d in degrees]
+    products = []
 
+    def recording_matmul(field, A, B):
+        products.append(A.shape[0] * B.shape[1])
+        return matmul(field, A, B)
 
-@pytest.mark.parametrize("field,coeffs", POWERS)
-def test_berlekamp_excludes_proper_powers(field, coeffs, fresh_berlekamp_lists):
-    d = len(coeffs) - 1
-    G = np.array([coeffs[:-1]], dtype=np.int64)
-    bases = remainder_bases(field, G, field.q * (d - 1))
-    Q = bases[:, :: field.q]
-    assert polys._nullity_one(field, Q).tolist() == [True]
-    assert polys._fixes_t(field, Q, bases[:, 1]).tolist() == [False]
-    assert polys._berlekamp_irreducible(field, G).tolist() == [False]
-    assert list(coeffs[:-1]) not in irreducible_rows(field, d).tolist()
-
-
-@pytest.mark.parametrize("field,d", [(F2, 2), (F2, 4), (F3, 2), (F3, 3), (F4, 2)])
-def test_berlekamp_needs_the_frobenius_condition(field, d, monkeypatch, fresh_berlekamp_lists):
-    # without t^(q^d) = t mod f the rank test also passes every proper power w^e
-    powers = set()
-    for e in range(2, d + 1):
-        if d % e == 0:
-            for w in rabin(field, d // e):
-                f = Poly.one(field)
-                for _ in range(e):
-                    f = f * w
-                powers.add(f.coeffs[:-1])
-    monkeypatch.setattr(polys, "_fixes_t", lambda field, Q, t_row: np.ones(len(Q), dtype=bool))
-    rows = {tuple(row) for row in irreducible_rows(field, d).tolist()}
-    irreducible = {f.coeffs[:-1] for f in rabin(field, d)}
-    assert powers and irreducible <= rows and rows - irreducible == powers
+    monkeypatch.setattr(polys, "_BLOCK", 97)
+    monkeypatch.setattr(polys, "matmul", recording_matmul)
+    irreducible_rows.cache_clear()
+    for d, expected, (mu, phi) in zip(degrees, rows, arrays):
+        assert np.array_equal(irreducible_rows(field, d), expected)
+        polys.mobius_phi.cache_clear()
+        blocked = polys.mobius_phi(field, d)
+        assert np.array_equal(blocked[0], mu) and np.array_equal(blocked[1], phi)
+    assert products and max(products) <= 97
 
 
 def test_sieve_tables_build_bases_in_blocks(monkeypatch):
@@ -289,10 +268,10 @@ def _trial_division(f):
 @pytest.mark.parametrize(
     "field,d_max", [(F2, 6), (F3, 5), (F4, 4), (F5, 3), (F8, 3), (F9, 3)]
 )
-def test_divisor_sieve_matches_trial_division(field, d_max, fresh_berlekamp_lists, monkeypatch):
-    # the divisors come from the sieve lists; the Berlekamp lists are not built
+def test_divisor_sieve_matches_trial_division(field, d_max, fresh_product_lists, monkeypatch):
+    # the divisors come from the sieve lists; the product-sieve lists are not built
     def banned(*args):
-        raise AssertionError("mobius_phi built a Berlekamp list")
+        raise AssertionError("mobius_phi built a product-sieve list")
 
     q = field.q
     for d in range(d_max + 1):
@@ -376,7 +355,7 @@ def test_enumerate_monic():
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4])
-def test_monic_code_is_one_order(field, fresh_berlekamp_lists):
+def test_monic_code_is_one_order(field, fresh_product_lists):
     # a monic's code is sum c_i q^i, c_0 least significant, everywhere
     q = field.q
     for d in range(4):
