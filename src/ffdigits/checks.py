@@ -15,9 +15,9 @@ import numpy as np
 from .census import count_restricted
 from .charsum import (
     RestrictedSet,
+    abs_s_r,
     cauchy_schwarz_bound,
     consecutive_l1_bound,
-    digit_weights,
     l1_average_closed_form,
     l1_average_direct,
     lemma3_bound,
@@ -302,8 +302,7 @@ def _pointwise_bound_check(rec, field, sets, n_max, bound_fn):
     for forb in sets:
         R = RestrictedSet(field, forb)
         s = len(forb)
-        absW = np.abs(np.array(digit_weights(R)))
-        prods = np.cumprod(absW[fw.windows], axis=1)  # column n-1 holds |S_R| at degree n
+        prods = abs_s_r(R, fw.windows)  # column n-1 holds |S_R| at degree n
         for n in range(1, n_max + 1):
             lhs = prods[:, n - 1]
             per_deg = [bound_fn(q, s, n, int(d)) for d in uniq_degs]
@@ -380,8 +379,7 @@ def check_lemma4(qs=(3, 5), ds=(1, 2), ns=(4, 6, 8)):
         for forb in sets:
             R = RestrictedSet(field, forb)
             s = len(forb)
-            absW = np.abs(np.array(digit_weights(R)))
-            prods = np.cumprod(absW[fw.windows], axis=1)
+            prods = abs_s_r(R, fw.windows)
             for d in ds:
                 within = fw.degs <= d
                 for n in ns:

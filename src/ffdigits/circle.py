@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charsum import RestrictedSet, local_factor, s_at_window, s_r_at
-from .field import FieldSpec, add, digits, matmul
+from .charsum import _BLOCK, RestrictedSet, local_factor, s_at_window, s_r_at
+from .field import FieldSpec, add, digits, matmul, undigits
 from .laurent import RationalPoint
 from .polys import (
     Poly,
@@ -30,23 +30,10 @@ class NumericalError(RuntimeError):
 
 
 ORTH_TOLERANCE = 1e-6
-# Largest (point x irreducible) array, in entries, built at once by the
-# orthogonality count and lemma1.  At 2^15 the temporaries of one block added
-# ~1 MB to the peak RSS of a q=3, n=6 count; at 2^13 they add ~0.1 MB, at the
-# same speed.
-_BLOCK = 1 << 13
 # Most window entries (rows x window length) that `farey_windows` builds.  It
 # admits every default check (lemma6 at p = 7: ~10^5 rows x 9 digits) and
 # q <= 9 at deg g <= 3 with 9 digits.
 _WINDOW_LIMIT = 1 << 23
-
-
-def _row_blocks(field: FieldSpec, n: int, rows: int):
-    """Slices of `rows` rows, each row against every irreducible of degree n,
-    that hold at most `_BLOCK` entries and at least one row."""
-    step = max(1, _BLOCK // prime_count(field, n))
-    for lo in range(0, rows, step):
-        yield slice(lo, min(lo + step, rows))
 
 
 @dataclass(frozen=True)
@@ -142,8 +129,6 @@ def farey_windows(field: FieldSpec, d_min: int, d_max: int, m: int) -> FareyWind
     width = max(m, 2 * d_max)
     farey_window_rows(field.q, min(d_min, 1), d_max, width)
     q = field.q
-    # the bound holds q^(2 d_max) < 2^24, so the keys fit in int64
-    weights = q ** np.arange(2 * d_max, dtype=np.int64)
     lower = np.zeros(0, dtype=np.int64)  # keys of the reduced fractions so far
     zero = np.zeros(int(d_min <= 0), dtype=np.int64)
     g_codes, codes, degs = [zero], [zero], [zero]
@@ -154,7 +139,8 @@ def farey_windows(field: FieldSpec, d_min: int, d_max: int, m: int) -> FareyWind
         h = remainder_bases(field, G, d + width - 2)[:, :, d - 1]  # h[j, k] = [t^(d-1)] (t^k mod g_j)
         hankel = h[:, np.arange(d)[:, None] + np.arange(width)]
         pairs = matmul(field, A, hankel).reshape(-1, width)  # row (g, a - 1)
-        key = pairs[:, : 2 * d_max] @ weights
+        # the bound holds q^(2 d_max) < 2^24, so the keys fit in int64
+        key = undigits(pairs[:, : 2 * d_max], q)
         reduced = np.flatnonzero(~np.isin(key, lower))
         lower = np.concatenate([lower, key[reduced]])
         if d >= d_min:
@@ -199,7 +185,7 @@ def arc_partition_check(field: FieldSpec, n: int) -> bool:
     prefix = np.where(np.arange(m) < e[:, None], fw.windows, 0)
     # a point has no digits past x_{-n}, so a longer prefix names at most one point
     keep = ~prefix[:, n:].any(axis=1)
-    start = prefix[keep, :n] @ q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    start = undigits(prefix[keep, n - 1 :: -1], q)  # x_{-1} most significant
     order = np.argsort(start)
     start, end = start[order], (start + q ** np.maximum(n - e[keep], 0))[order]
     return bool(start[0] == 0 and end[-1] == q**n and np.array_equal(start[1:], end[:-1]))
@@ -235,9 +221,7 @@ def lemma1_errors(field: FieldSpec, n: int) -> tuple:
     shifted[rows, k - 1] = add(field, shifted[rows, k - 1], 1)
     # each centre, then its offset
     windows = np.stack([fw.windows, shifted], axis=1).reshape(-1, n + 1)
-    S = np.concatenate(
-        [s_at_window(field, n, windows[b]) for b in _row_blocks(field, n, len(windows))]
-    ).reshape(-1, 2)
+    S = s_at_window(field, n, windows).reshape(-1, 2)
     offset = np.where(k == n + 1, field.psi(1), 0)
     main = ratio[:, None] * np.stack([np.ones(len(fw)), offset], axis=1)
     return fw, main, S - main, field.q ** (n - n // 2 / 2)
@@ -328,14 +312,16 @@ def orthogonality_count(R: RestrictedSet, n: int) -> int:
 
     Averages S(a/t^(n+1)) * conj(S_R(a/t^(n+1))) over all q^(n+1) points and
     rounds; a deviation of 1e-6 or more from an integer is a hard error.
-    Points are taken in blocks of fixed size, so the summation order is fixed.
+    Points are taken in blocks of fixed size, so the summation order is fixed;
+    each block's windows hold at most `charsum._BLOCK` digits.
     """
     field = R.spec
     m = n + 1
     npoints = field.q**m
     total = 0j
-    for rows in _row_blocks(field, n, npoints):
-        codes = np.arange(rows.start, rows.stop, dtype=np.int64)
+    step = max(1, _BLOCK // m)
+    for lo in range(0, npoints, step):
+        codes = np.arange(lo, min(lo + step, npoints), dtype=np.int64)
         window = digits(codes, field.q, m)[:, ::-1]  # window[:, j] = a_{n-j}
         total += (s_at_window(field, n, window) * s_r_at(R, n, window).conj()).sum()
     value = complex(total) / npoints

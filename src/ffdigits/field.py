@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,12 +59,21 @@ def digits(value, base: int, width: int):
     array of shape S + (width,).
     """
     if isinstance(value, np.ndarray):
-        return (value[..., None] // base ** np.arange(width, dtype=np.int64)) % base
+        out = value[..., None] // base ** np.arange(width, dtype=np.int64)
+        out %= base  # in place: no second array of the output's size
+        return out
     out = []
     for _ in range(width):
         value, d = divmod(value, base)
         out.append(d)
     return tuple(out)
+
+
+def undigits(rows, base: int) -> np.ndarray:
+    """The values whose base-`base` digits, least significant first, lie along
+    the last axis of `rows`: the inverse of `digits` on arrays."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return rows @ base ** np.arange(rows.shape[-1], dtype=np.int64)
 
 
 def negate(field: FieldSpec, A: np.ndarray) -> np.ndarray:
@@ -148,12 +157,6 @@ class FieldSpec:
                 if not _irreducible_over_prime_field(modulus, p):
                     raise FieldError("modulus is reducible over the prime field")
             self.modulus = modulus
-        self._mul_table = None
-        self._add_table = None
-        self._neg_table = None
-        self._inv_table = None
-        self._trace_table = None
-        self._psi_table = None
 
     # -- identity / serialization -------------------------------------------
 
@@ -197,10 +200,8 @@ class FieldSpec:
         return digits(a, self.p, self.k)
 
     def encode(self, coords) -> int:
-        a = 0
-        for c in reversed(list(coords)):
-            a = a * self.p + (c % self.p)
-        return a
+        """The element code of coordinates (c_0, ..., c_{k-1}), each in [0, p)."""
+        return int(undigits(coords, self.p))
 
     def _check(self, a: int):
         if not 0 <= a < self.q:
@@ -215,8 +216,8 @@ class FieldSpec:
         text = text.strip()
         if text.startswith("["):
             coords = [int(c) for c in text.strip("[]").split()]
-            if len(coords) > self.k:
-                raise FieldError(f"too many coordinates in {text!r}")
+            if not 1 <= len(coords) <= self.k or not all(0 <= c < self.p for c in coords):
+                raise FieldError(f"{text!r} needs 1 to {self.k} coordinates in [0, {self.p})")
             a = self.encode(coords)
         else:
             a = int(text)
@@ -225,25 +226,19 @@ class FieldSpec:
 
     # -- arithmetic ----------------------------------------------------------
 
+    # the scalar ops are the array primitives applied to ints
+
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self.add_table[a, b].item()
+        return int(add(self, a, b))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self.neg_table[a].item()
+        return int(negate(self, a))
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        return self.mul_table[a, b].item()
+        return int(madd(self, 0, a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -268,9 +263,7 @@ class FieldSpec:
 
     def trace(self, a: int) -> int:
         """Trace down to F_p, returned as a residue in [0, p)."""
-        if self.k == 1:
-            self._check(a)
-            return a
+        self._check(a)
         return int(self.trace_table[a])
 
     def psi(self, a: int) -> complex:
@@ -282,75 +275,62 @@ class FieldSpec:
     # Multiplication by t, addition and negation are F_p-linear on coordinates,
     # so the tables are built from the coordinate array of all q elements.
 
-    @property
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        return digits(np.arange(self.q, dtype=np.int64), self.p, self.k)
+
+    @cached_property
     def mul_table(self) -> np.ndarray:
-        if self._mul_table is None:
-            p, k = self.p, self.k
-            C = digits(np.arange(self.q, dtype=np.int64), p, k)
-            # shifted[i][a] holds the coordinates of t^i * a; shifting by one
-            # replaces c_{k-1} t^k with -c_{k-1} (m_0 + ... + m_{k-1} t^{k-1}).
-            shifted = [C]
-            for _ in range(k - 1):
-                last = shifted[-1]
-                up = np.zeros_like(last)
-                up[:, 1:] = last[:, :-1]
-                shifted.append((up - last[:, -1:] * np.array(self.modulus[:k])) % p)
-            X = np.stack(shifted)
-            # a * b = sum_i b_i (t^i * a), one coordinate j at a time
-            self._mul_table = sum(p**j * ((C @ X[:, :, j]) % p) for j in range(k))
-        return self._mul_table
+        p, k, C = self.p, self.k, self._coords
+        # shifted[i][a] holds the coordinates of t^i * a; shifting by one
+        # replaces c_{k-1} t^k with -c_{k-1} (m_0 + ... + m_{k-1} t^{k-1}).
+        shifted = [C]
+        for _ in range(k - 1):
+            last = shifted[-1]
+            up = np.zeros_like(last)
+            up[:, 1:] = last[:, :-1]
+            shifted.append((up - last[:, -1:] * np.array(self.modulus[:k])) % p)
+        X = np.stack(shifted)
+        # a * b = sum_i b_i (t^i * a), one coordinate j at a time: a (q, q, k)
+        # array of coordinates would hold k times the table
+        return sum(p**j * ((C @ X[:, :, j]) % p) for j in range(k))
 
-    @property
+    @cached_property
     def add_table(self) -> np.ndarray:
-        if self._add_table is None:
-            p = self.p
-            C = digits(np.arange(self.q, dtype=np.int64), p, self.k)
-            self._add_table = sum(
-                p**j * ((C[:, None, j] + C[None, :, j]) % p) for j in range(self.k)
-            )
-        return self._add_table
+        C = self._coords
+        # one coordinate at a time, as in mul_table
+        return sum(self.p**j * ((C[:, None, j] + C[None, :, j]) % self.p) for j in range(self.k))
 
-    @property
+    @cached_property
     def neg_table(self) -> np.ndarray:
-        if self._neg_table is None:
-            p, k = self.p, self.k
-            C = digits(np.arange(self.q, dtype=np.int64), p, k)
-            self._neg_table = (-C % p) @ p ** np.arange(k, dtype=np.int64)
-        return self._neg_table
+        return undigits(-self._coords % self.p, self.p)
 
-    @property
+    @cached_property
     def inv_table(self) -> np.ndarray:
-        if self._inv_table is None:
-            # the inverse of a is the column where row a of mul_table holds 1;
-            # row 0 has none, and argmax leaves its entry at 0
-            self._inv_table = np.argmax(self.mul_table == 1, axis=1).astype(np.int64)
-        return self._inv_table
+        # the inverse of a is the column where row a of mul_table holds 1;
+        # row 0 has none, and argmax leaves its entry at 0
+        return np.argmax(self.mul_table == 1, axis=1).astype(np.int64)
 
-    @property
+    @cached_property
     def trace_table(self) -> np.ndarray:
-        if self._trace_table is None:
-            # the trace is F_p-linear: tr(a) = sum_i c_i tr(t^i) for coordinates c
-            basis = []
-            for i in range(self.k):
-                acc, frob = 0, self.p**i  # the code of t^i
-                for _ in range(self.k):
-                    acc = self.add(acc, frob)
-                    frob = self.pow(frob, self.p)
-                if acc >= self.p:
-                    raise FieldError("trace left the prime subfield")  # sanity
-                basis.append(acc)
-            C = digits(np.arange(self.q, dtype=np.int64), self.p, self.k)
-            self._trace_table = (C @ np.array(basis, dtype=np.int64)) % self.p
-        return self._trace_table
+        """Tr(a) = a + a^p + ... + a^(p^(k-1)) for every element code a, by k - 1
+        Frobenius steps over all codes at once; on prime fields, arange(p)."""
+        trace = frob = np.arange(self.q, dtype=np.int64)
+        for _ in range(self.k - 1):
+            power = frob
+            for _ in range(self.p - 1):
+                power = self.mul_table[power, frob]
+            frob = power
+            trace = add(self, trace, frob)
+        if trace.max() >= self.p:
+            raise FieldError("trace left the prime subfield")  # sanity
+        return trace
 
-    @property
+    @cached_property
     def psi_table(self) -> np.ndarray:
         """psi(a) for every element code a, as a complex128 array."""
-        if self._psi_table is None:
-            roots = np.array([cmath.exp(2j * cmath.pi * r / self.p) for r in range(self.p)])
-            traces = np.arange(self.q) if self.k == 1 else self.trace_table
-            self._psi_table = roots[traces]
-        return self._psi_table
+        roots = np.array([cmath.exp(2j * cmath.pi * r / self.p) for r in range(self.p)])
+        return roots[self.trace_table]
 
 
 @lru_cache(maxsize=None)

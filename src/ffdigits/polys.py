@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import FieldError, FieldSpec, digits, is_prime, madd, matmul, negate
+from .field import FieldError, FieldSpec, digits, is_prime, madd, matmul, negate, undigits
 
 
 class Poly:
@@ -276,7 +276,6 @@ def _codes(field, A: np.ndarray, G: np.ndarray, powers: range) -> np.ndarray:
     polynomials sum_k A[:, k] t^powers[k], as a (len(A), len(G)) array."""
     d = G.shape[1]
     out = np.empty((len(A), len(G)), dtype=np.min_scalar_type(field.q**d - 1))
-    weights = field.q ** np.arange(d, dtype=np.int64)
     # the bases of all of G hold powers.stop d len(G) entries, which no budget counts
     step = max(1, _BLOCK // (powers.stop * d))
     for i in range(0, len(G), step):
@@ -286,7 +285,7 @@ def _codes(field, A: np.ndarray, G: np.ndarray, powers: range) -> np.ndarray:
         rows = max(1, _BLOCK // basis.shape[1])
         for k in range(0, len(A), rows):
             rem = matmul(field, A[k : k + rows], basis)
-            out[k : k + rows, i : i + step] = rem.reshape(len(rem), -1, d) @ weights
+            out[k : k + rows, i : i + step] = undigits(rem.reshape(len(rem), -1, d), field.q)
     return out
 
 
@@ -405,10 +404,10 @@ def irreducible_codes(field: FieldSpec, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the product sieve: the irreducible lists that S reads, Mobius and totient
 
-def _multiples(field: FieldSpec, W: np.ndarray, d: int) -> np.ndarray:
+def _multiples(field: FieldSpec, W: np.ndarray, d: int):
     """The codes of the products w h, for every row w of W and every monic h of
-    degree d - e, as one int64 array; row w holds the non-leading coefficients
-    w_0, ..., w_{e-1} of a monic w of degree e.
+    degree d - e, as int64 arrays yielded a block at a time; row w holds the
+    non-leading coefficients w_0, ..., w_{e-1} of a monic w of degree e.
 
     Row i of the banded Toeplitz matrix of w is t^i w, so one matmul of a block
     of rows (h_0, ..., h_{d-e-1}, 1) with the matrices of a block of w forms
@@ -417,8 +416,7 @@ def _multiples(field: FieldSpec, W: np.ndarray, d: int) -> np.ndarray:
     """
     q, e = field.q, W.shape[1]
     m = d - e
-    weights = q ** np.arange(d, dtype=np.int64)
-    rows, codes = max(1, _BLOCK // d), []
+    rows = max(1, _BLOCK // d)
     for i in range(0, len(W), rows):
         block = W[i : i + rows]
         T = np.zeros((m + 1, len(block), d + 1), dtype=np.int64)
@@ -430,8 +428,7 @@ def _multiples(field: FieldSpec, W: np.ndarray, d: int) -> np.ndarray:
         for lo in range(0, q**m, step):
             H = digits(np.arange(lo, min(lo + step, q**m), dtype=np.int64), q, m)
             H = np.concatenate([H, np.ones((len(H), 1), dtype=np.int64)], axis=1)
-            codes.append(matmul(field, H, T).reshape(-1, d) @ weights)
-    return np.concatenate(codes)
+            yield undigits(matmul(field, H, T).reshape(-1, d), q)
 
 
 @lru_cache(maxsize=None)
@@ -450,7 +447,8 @@ def irreducible_rows(field: FieldSpec, d: int) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     reducible = np.zeros(field.q**d, dtype=bool)
     for e in range(1, d // 2 + 1):
-        reducible[_multiples(field, irreducible_rows(field, e), d)] = True
+        for codes in _multiples(field, irreducible_rows(field, e), d):
+            reducible[codes] = True
     rows = digits(np.flatnonzero(~reducible), field.q, d)
     rows.flags.writeable = False
     return rows
@@ -489,7 +487,8 @@ def mobius_phi(field: FieldSpec, d: int) -> tuple:
     omega, sum_e = (np.zeros(q**d, dtype=np.int64) for _ in range(2))
     phi = np.ones(q**d, dtype=np.int64)
     for e in range(1, d + 1):
-        divisors = np.bincount(_multiples(field, irreducible_codes(field, e), d), minlength=q**d)
+        blocks = _multiples(field, irreducible_codes(field, e), d)
+        divisors = sum(np.bincount(codes, minlength=q**d) for codes in blocks)
         omega += divisors
         sum_e += e * divisors
         phi *= (q**e - 1) ** divisors
@@ -504,7 +503,7 @@ def _monic_code(f: Poly) -> int:
     """The code sum c_i q^i of the monic f, its index in `enumerate_monic` order."""
     if not f.is_monic:
         raise ValueError("need a monic polynomial")
-    return sum(c * f.field.q**i for i, c in enumerate(f.coeffs[:-1]))
+    return int(undigits(f.coeffs[:-1], f.field.q))
 
 
 def monic_of_code(field: FieldSpec, d: int, j: int) -> Poly:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ffdigits import circle, cli, laurent, polys
+from ffdigits import charsum, circle, cli, laurent, polys
 from ffdigits.census import count_restricted
 from ffdigits.charsum import RestrictedSet, s_at
 from ffdigits.circle import (
@@ -226,20 +226,22 @@ def test_lemma1_errors_match_the_definition(monkeypatch, q, ns):
 
 
 def test_lemma1_blocks_rows(monkeypatch):
-    # rows go to S in blocks of at most _BLOCK (point x irreducible) entries
-    sizes = []
-    kernel = circle.s_at_window
+    # S forms its (window x irreducible) products in row blocks of at most
+    # _BLOCK entries, or of one row where one row holds more; the errors do not
+    # depend on the blocks
+    whole = lemma1_errors(F3, 6)[2]
+    kernel, pi = charsum.matmul, prime_count(3, 6)
+    for block in (500, 50):
+        products = []
 
-    def recording(spec, n, window):
-        sizes.append(len(window) * prime_count(spec, n))
-        return kernel(spec, n, window)
+        def recording(field, A, B):
+            products.append(A.shape[0] * B.shape[1])
+            return kernel(field, A, B)
 
-    monkeypatch.setattr(circle, "s_at_window", recording)
-    monkeypatch.setattr(circle, "_BLOCK", 500)
-    _, _, error, _ = lemma1_errors(F3, 6)
-    assert len(sizes) > 1 and max(sizes) <= 500
-    monkeypatch.undo()
-    assert np.array_equal(error, lemma1_errors(F3, 6)[2])
+        monkeypatch.setattr(charsum, "matmul", recording)
+        monkeypatch.setattr(charsum, "_BLOCK", block)
+        assert np.array_equal(lemma1_errors(F3, 6)[2], whole)
+        assert len(products) > 1 and max(products) == max(1, block // pi) * pi
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,14 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("element", ["[5]", "[-1]", "[]", "[3 0]", "[1 0 0]"])
+def test_bracket_coordinates_out_of_range(capsys, element):
+    # an F_9 element is 1 to 2 coordinates in [0, 3); none is reduced mod 3
+    code, _, err = run(capsys, "count", "--q", "9", "--n", "3", "--forbid", element)
+    assert code == EXIT_USAGE
+    assert "coordinates in [0, 3)" in err
+
+
 def test_budget_exit(capsys):
     code, _, err = run(
         capsys, "count", "--q", "5", "--forbid", "0", "--n", "6", "--budget", "10"

@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ffdigits.field import (
     madd,
     matmul,
     negate,
+    undigits,
 )
 from ffdigits.polys import Poly, pow_mod
 
@@ -176,6 +178,27 @@ def test_digits_int_and_array_agree():
     assert digits(11, 3, 4) == (2, 0, 1, 0)
     values = np.arange(81, dtype=np.int64)
     assert digits(values, 3, 4).tolist() == [list(digits(v, 3, 4)) for v in range(81)]
+
+
+@pytest.mark.parametrize("base", [2, 3, 7, 17])
+@pytest.mark.parametrize("width", [0, 1, 5])
+def test_undigits_inverts_digits(base, width):
+    top = base**width
+    values = np.unique(np.r_[np.arange(0, top, max(1, top // 997)), top - 1])
+    assert np.array_equal(undigits(digits(values, base, width), base), values)
+
+
+def test_table_build_sums_one_coordinate_at_a_time():
+    # a (q, q, k) coordinate array would peak at about 170 MB for F_1024
+    field = FieldSpec(2, 10)  # not interned: every table is built here
+    tracemalloc.start()
+    try:
+        for table in ("mul_table", "add_table", "neg_table", "inv_table", "trace_table", "psi_table"):
+            getattr(field, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 81])

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -208,6 +209,21 @@ def test_block_size_leaves_the_product_sieve_unchanged(field, d_max, monkeypatch
         blocked = polys.mobius_phi(field, d)
         assert np.array_equal(blocked[0], mu) and np.array_equal(blocked[1], phi)
     assert products and max(products) <= 97
+
+
+def test_irreducible_rows_peak_near_its_list():
+    # each block of products is marked as it is formed, and the rows are
+    # decoded in place, so building a list holds little beyond the list
+    for e in range(1, 7):
+        irreducible_rows(F3, e)
+    tracemalloc.start()
+    try:
+        rows = irreducible_rows.__wrapped__(F3, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == prime_count(3, 12)
+    assert peak <= 1.5 * rows.nbytes
 
 
 def test_sieve_tables_build_bases_in_blocks(monkeypatch):
