@@ -11,27 +11,29 @@ is inverted into lists of the low halves per (g, code), and every high half of
 a chunk marks the low halves listed under its own codes.  A degree is inverted
 exactly when its lists, padded to one width, hold at most twice the entries of
 its low table.  The other degrees compare the two codes per (surviving
-candidate, g).  The same sieve lists the irreducibles it divides by.  Chunk
-counts are plain integers merged in chunk order, so the result is identical
-for any worker count.
+candidate, g).  The same sieve lists the irreducibles it divides by.  A count
+builds its tables once, in the calling thread, and sieves its chunks in
+w = min(workers, chunks) interleaved stripes, chunk i in stripe i mod w: the
+caller runs stripe 0, and w - 1 threads run the others over the same
+read-only tables, as numpy releases the GIL in the sieve's gathers and
+compares.  Stripe counts are plain integers, so the result is identical for
+any worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .charsum import RestrictedSet
 from .circle import PredictorParams, error_budget, predictor
-from .polys import prime_count, sieve, sieve_tables
+from .polys import _CHUNK, prime_count, sieve, sieve_tables
 
 DEFAULT_BUDGET = 10**8
-_CHUNK = 1 << 15
 # Candidate indices and remainder codes are computed in int64, so both stay
 # below 2^63.
 _INT64_LIMIT = 1 << 63
@@ -42,19 +44,7 @@ class BudgetError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# the chunk kernel
-
-@lru_cache(maxsize=1)
-def _sieve_tables(field, n: int, allowed: tuple) -> tuple:
-    """`polys.sieve_tables`, kept for the chunks of one count."""
-    return sieve_tables(field, n, allowed)
-
-
-def _census_chunk(args) -> int:
-    field, forbidden, n, start, stop = args
-    allowed = tuple(c for c in field.elements() if c not in forbidden)
-    return len(sieve(_sieve_tables(field, n, allowed), start, stop))
-
+# the count
 
 def count_restricted(
     R: RestrictedSet, n: int, workers: int = 1, budget: int = DEFAULT_BUDGET
@@ -75,13 +65,33 @@ def count_restricted(
     if n == 0:
         return 0
     _check_sieve_budget(field.q, field.q - R.s, n, budget)
-    chunks = (
-        (field, frozenset(R.forbidden), n, lo, min(lo + _CHUNK, total))
-        for lo in range(0, total, _CHUNK)
-    )
-    if workers > 1 and total > _CHUNK:
-        return _pool_count(chunks, workers)
-    return sum(_census_chunk(c) for c in chunks)
+    tables = sieve_tables(field, n, tuple(c for c in field.elements() if c not in R.forbidden))
+    starts = range(0, total, _CHUNK)
+    stripes = max(1, min(workers, len(starts)))  # workers < 1 runs serially
+    stop = threading.Event()
+
+    def stripe(i: int) -> int:
+        """The count of chunks i, i + stripes, ...; the threads stop at `stop`."""
+        count = 0
+        for lo in starts[i::stripes]:
+            if stop.is_set():
+                break
+            count += len(sieve(tables, lo, min(lo + _CHUNK, total)))
+        return count
+
+    if stripes == 1:
+        return stripe(0)
+    # imported here, so that a start that runs no pool does not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=stripes - 1) as pool:
+        rest = pool.map(stripe, range(1, stripes))
+        try:
+            return stripe(0) + sum(rest)
+        finally:
+            # set once every stripe is summed, or when the caller's own stripe
+            # raises (an interrupt, say), so that the pool does not sieve on
+            stop.set()
 
 
 def _check_sieve_budget(q: int, m: int, n: int, budget: int):
@@ -101,23 +111,6 @@ def _check_sieve_budget(q: int, m: int, n: int, budget: int):
         raise BudgetError(
             f"{entries} sieve table entries exceed the budget of {budget}"
         )
-
-
-def _pool_count(chunks, workers: int) -> int:
-    """Sum of chunk counts, at most 2 * workers chunks in flight, read in chunk order."""
-    # imported here, so that a start that runs no pool does not load it
-    from concurrent.futures import ProcessPoolExecutor
-
-    count = 0
-    pending = deque()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for c in chunks:
-            pending.append(pool.submit(_census_chunk, c))
-            if len(pending) >= 2 * workers:
-                count += pending.popleft().result()
-        while pending:
-            count += pending.popleft().result()
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Command-line front door: censuses, predictors, and the verification battery.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error,
-3 numerical failure in the orthogonality average, 4 enumeration budget exceeded.
+3 numerical failure in the orthogonality average, 4 budget exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 from contextlib import ExitStack
 
@@ -36,16 +35,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_workers() -> int:
-    env = os.environ.get("FFDIGITS_WORKERS")
-    if not env:
-        return 1
-    try:
-        return _positive_int(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"FFDIGITS_WORKERS: {exc}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     restricted = argparse.ArgumentParser(add_help=False)
     restricted.add_argument("--q", type=int, help="field size (prime power)")
@@ -56,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     restricted.add_argument("--forbid", default="", help="forbidden coefficients, e.g. 0,3,7")
     # the commands that run censuses; predict runs none
     common = argparse.ArgumentParser(add_help=False, parents=[restricted])
-    common.add_argument("--workers", type=_positive_int, default=None, help="parallel workers")
+    common.add_argument("--workers", type=_positive_int, default=None, help="census threads")
     common.add_argument(
         "--budget",
         type=int,
@@ -123,8 +112,7 @@ def _open_output(stack: ExitStack, path, **kwargs):
 
 def _cmd_count(args) -> int:
     R = _restricted_from_args(args)
-    workers = args.workers or _default_workers()
-    print(count_restricted(R, args.n, workers=workers, budget=args.budget))
+    print(count_restricted(R, args.n, workers=args.workers or 1, budget=args.budget))
     return EXIT_OK
 
 
@@ -139,12 +127,11 @@ def _cmd_predict(args) -> int:
 
 def _cmd_scan(args) -> int:
     R = _restricted_from_args(args)
-    workers = args.workers or _default_workers()
     degrees = _parse_degrees(args.n)
     with ExitStack() as stack:
         csv_fh = _open_output(stack, args.csv, newline="")
         json_fh = _open_output(stack, args.json)
-        reports = scan(R, degrees, workers=workers, budget=args.budget)
+        reports = scan(R, degrees, workers=args.workers or 1, budget=args.budget)
         if csv_fh:
             write_csv(reports, csv_fh)
         if json_fh:
@@ -177,9 +164,9 @@ def _verify_flags(args) -> dict:
     return {flag: choices for flag, (given, choices) in flags.items() if given}
 
 
-def _check_params(flags: dict, fn, workers: int) -> dict:
+def _check_params(flags: dict, fn) -> dict:
     accepted = inspect.signature(fn).parameters
-    params = {"workers": workers} if "workers" in accepted else {}
+    params = {}
     for choices in flags.values():
         for name, value in choices:
             if name in accepted:
@@ -200,13 +187,12 @@ def _cmd_verify(args) -> int:
     if ignored:
         print(f"verify {args.check}: no check takes {', '.join(ignored)}", file=sys.stderr)
         return EXIT_USAGE
-    workers = _default_workers()
     results = []
     with ExitStack() as stack:
         json_fh = _open_output(stack, args.json)
         print(f"{'check':<16} {'cases':>8} {'result':>8} {'elapsed_s':>10}")
         for check_id in ids:
-            result = run_check(check_id, **_check_params(flags, CHECKS[check_id], workers))
+            result = run_check(check_id, **_check_params(flags, CHECKS[check_id]))
             results.append(result)
             verdict = "pass" if result.passed else "FAIL"
             print(f"{check_id:<16} {result.cases:>8} {verdict:>8} {result.elapsed:>10.2f}")
@@ -238,6 +224,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        print(f"out of memory: {exc} (a smaller --budget refuses such a census)", file=sys.stderr)
         return EXIT_BUDGET
     except (FieldError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -112,23 +112,6 @@ def matmul(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _irreducible_over_prime_field(modulus: tuple, p: int) -> bool:
-    from .polys import Poly, is_irreducible
-
-    return is_irreducible(Poly(get_field(p), modulus))
-
-
-@lru_cache(maxsize=None)
-def default_modulus(p: int, k: int) -> tuple:
-    """The monic irreducible of degree k over F_p that is smallest by element
-    code, constant term least significant."""
-    for v in range(p**k):
-        modulus = digits(v, p, k) + (1,)
-        if _irreducible_over_prime_field(modulus, p):
-            return modulus
-    raise FieldError(f"no irreducible modulus of degree {k} over F_{p}")  # unreachable
-
-
 class FieldSpec:
     """The field F_q with q = p^k elements, with all scalar ops on element codes."""
 
@@ -147,14 +130,18 @@ class FieldSpec:
         else:
             if self.q > _TABLE_LIMIT:
                 raise FieldError(f"extension field of size {self.q} unsupported")
+            from .polys import irreducible_rows  # polys imports this module
+
+            # the monic irreducibles of degree k over F_p, by increasing code
+            listed = irreducible_rows(get_field(p), k)
             if modulus is None:
-                # found irreducible by its search
-                modulus = default_modulus(p, k)
+                # the smallest by code, constant term least significant
+                modulus = tuple(listed[0].tolist()) + (1,)
             else:
                 modulus = tuple(c % p for c in modulus)
                 if len(modulus) != k + 1 or modulus[-1] != 1:
                     raise FieldError("modulus must be monic of degree k")
-                if not _irreducible_over_prime_field(modulus, p):
+                if not (listed == modulus[:k]).all(axis=1).any():
                     raise FieldError("modulus is reducible over the prime field")
             self.modulus = modulus
 
@@ -168,10 +155,6 @@ class FieldSpec:
 
     def __hash__(self):
         return hash(self._key())
-
-    def __reduce__(self):
-        # interned on unpickling, so a pool worker tests the modulus once
-        return (get_field, (self.p, self.k, self.modulus))
 
     def __repr__(self):
         return f"FieldSpec({self.spec_string()!r})"
@@ -335,5 +318,5 @@ class FieldSpec:
 
 @lru_cache(maxsize=None)
 def get_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
-    """Interned FieldSpec constructor, so worker processes share table work."""
+    """Interned FieldSpec constructor, so a field's tables and modulus are built once."""
     return FieldSpec(p, k, modulus)

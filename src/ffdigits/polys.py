@@ -267,8 +267,9 @@ def is_irreducible(f: Poly) -> bool:
 # 2^17 sieved fastest of 2^14 ... 2^20 at q = 17, n = 6 and q = 3, n = 20 (2^20
 # took 3.5x as long at q = 17), and 2^16 holds less.
 _BLOCK = 1 << 16
-# Candidates sieved at once while listing irreducibles.
-_CANDIDATES = 1 << 15
+# Candidates sieved at once: one chunk of a census, or of the monics that
+# `irreducible_codes` lists from.
+_CHUNK = 1 << 15
 
 
 def _codes(field, A: np.ndarray, G: np.ndarray, powers: range) -> np.ndarray:
@@ -395,7 +396,7 @@ def irreducible_codes(field: FieldSpec, d: int) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     q = field.q
     tables = sieve_tables(field, d, tuple(field.elements()))
-    found = [sieve(tables, lo, min(lo + _CANDIDATES, q**d)) for lo in range(0, q**d, _CANDIDATES)]
+    found = [sieve(tables, lo, min(lo + _CHUNK, q**d)) for lo in range(0, q**d, _CHUNK)]
     rows = digits(np.concatenate(found), q, d)
     rows.flags.writeable = False
     return rows

@@ -3,6 +3,8 @@ import os
 import resource
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
@@ -79,16 +81,64 @@ def test_count_matches_brute_force(field):
 
 
 def test_parallel_determinism():
+    # 4^9 candidates are 8 chunks, which 3 stripes do not divide; 3 and 4
+    # threads on 2 cores switch often with a short switch interval
     R = RestrictedSet.of(F5, 0)
-    reference = count_restricted(R, 5, workers=1)
-    assert count_restricted(R, 5, workers=2) == reference
-    assert count_restricted(R, 5, workers=4) == reference
+    reference = count_restricted(R, 9, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert [count_restricted(R, 9, workers=w) for w in (2, 3, 4)] == [reference] * 3
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_parallel_determinism_extension_field():
     # 4^9 candidates are 8 chunks
     R = RestrictedSet(F4, frozenset())
     assert count_restricted(R, 9, workers=2) == count_restricted(R, 9) == prime_count(4, 9)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_count_builds_its_tables_once(workers, monkeypatch):
+    # the threads share the caller's tables; none builds its own
+    calls = []
+    build = census.sieve_tables
+    monkeypatch.setattr(census, "sieve_tables", lambda *args: calls.append(args) or build(*args))
+    count_restricted(RestrictedSet.of(F5, 0), 9, workers=workers)  # 8 chunks
+    assert calls == [(F5, 9, (1, 2, 3, 4))]
+
+
+@pytest.mark.parametrize("workers,threads", [(0, 0), (1, 0), (2, 1), (8, 1)])
+def test_a_count_starts_at_most_one_thread_per_chunk(workers, threads, monkeypatch):
+    # 3^10 candidates are 2 chunks: the caller sieves one, and at most one
+    # thread the other, whatever the worker count
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    R = RestrictedSet(F3, frozenset())
+    assert count_restricted(R, 10, workers=workers) == prime_count(3, 10)
+    assert len(started) == threads
+
+
+def test_a_failing_stripe_stops_the_threads(monkeypatch):
+    # the caller's stripe fails at its first chunk (an interrupt, say); the
+    # thread's stripe of 5905 chunks, 0.5 ms each, ends within a few chunks
+    # rather than running on while the count unwinds
+    sieved = []
+
+    def sieve(tables, start, stop):
+        if start == 0:
+            raise RuntimeError("first chunk")
+        sieved.append(start)
+        time.sleep(0.0005)
+        return []
+
+    monkeypatch.setattr(census, "sieve", sieve)
+    monkeypatch.setattr(census, "sieve_tables", lambda field, n, allowed: None)
+    with pytest.raises(RuntimeError, match="first chunk"):
+        count_restricted(RestrictedSet(F3, frozenset()), 18, workers=2, budget=10**30)
+    assert len(sieved) < 100
 
 
 def test_counts_keep_no_census_state():
@@ -137,7 +187,6 @@ def test_sieve_table_entries_before_any_list(monkeypatch):
 def test_sieve_reaches_the_list_builder(monkeypatch):
     # the guard above would pass vacuously if the census took its lists elsewhere
     _no_lists(monkeypatch)
-    census._sieve_tables.cache_clear()
     with pytest.raises(AssertionError, match="irreducible list built"):
         count_restricted(RestrictedSet.of(F3, 0), 4)
 
@@ -168,7 +217,6 @@ def test_block_size_leaves_the_sieve_unchanged(field, forbidden, n, block, monke
     survivors = polys.sieve(tables, 0, total)
     count = count_restricted(R, n)
     monkeypatch.setattr(polys, "_BLOCK", block)
-    census._sieve_tables.cache_clear()
     blocked = polys.sieve_tables(field, n, allowed)
     assert blocked[0] == tables[0]
     for stages, stages_b in zip(tables[1:], blocked[1:], strict=True):
@@ -242,18 +290,19 @@ def test_a_degree_is_inverted_exactly_when_its_inverse_is_small(field, forbidden
 @pytest.mark.parametrize("n", [6, 7])
 def test_chunks_that_cut_high_rows(n, monkeypatch):
     # 37 is prime to m^h = 3^h, so every chunk but the first starts inside a
-    # high row; marks gather and stages compare in odd blocks
+    # high row; marks gather and stages compare in odd blocks.  The 20 chunks
+    # of n = 6 do not divide into 3 stripes.
     allowed = (1, 2, 3)
     R = RestrictedSet.of(F4, 0)
     expected = _listed_survivors(F4, allowed, n)
     monkeypatch.setattr(census, "_CHUNK", 37)
     monkeypatch.setattr(polys, "_BLOCK", 29)
-    census._sieve_tables.cache_clear()
     tables = polys.sieve_tables(F4, n, allowed)
     assert tables[0] == 3 ** (n - n // 2)
     found = [polys.sieve(tables, lo, min(lo + 37, 3**n)) for lo in range(0, 3**n, 37)]
     assert np.array_equal(np.concatenate(found), expected)
-    assert count_restricted(R, n) == count_restricted(R, n, workers=2) == len(expected)
+    counts = [count_restricted(R, n, workers=w) for w in (1, 2, 3)]
+    assert counts == [len(expected)] * 3
 
 
 def test_census_working_set_is_its_tables_and_a_few_blocks():
@@ -263,14 +312,13 @@ def test_census_working_set_is_its_tables_and_a_few_blocks():
     # against the 136 irreducibles of degree 2 would take ~9 MB here.
     R = RestrictedSet.of(F17, 0)
     count_restricted(R, 5)  # the irreducible lists of degrees 1 and 2
-    census._sieve_tables.cache_clear()
     tracemalloc.start()
     try:
         assert count_restricted(R, 5) == 222560
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    _, marks, compares = census._sieve_tables(F17, 5, tuple(range(1, 17)))
+    _, marks, compares = polys.sieve_tables(F17, 5, tuple(range(1, 17)))
     table_bytes = sum(table.nbytes for stage in marks + compares for table in stage)
     assert peak - table_bytes < 4 * (1 << 16) * 8
 
@@ -389,19 +437,32 @@ def test_int64_decode_limit_exits_budget(forbid, n):
     assert "2^63" in proc.stderr
 
 
+def test_out_of_memory_exits_budget():
+    # 3^39 candidates within a budget of 10^30 need 26 GiB of tables; the
+    # allocation fails under the cap, which ends in exit 4, not a traceback
+    proc = _run_capped(
+        ["-m", "ffdigits.cli", "count", "--q", "3", "--n", "39", "--budget", str(10**30)]
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "out of memory" in proc.stderr and "--budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_first_chunk_starts_at_once(workers):
     # 3^39 candidates are 1.2e14 chunks: the first must start without the rest
-    # being built
+    # being built.  The tables of this shape would take 26 GiB, so they are
+    # stubbed; the census builds them before its first chunk.
     code = f"""
 from ffdigits import census
 from ffdigits.charsum import RestrictedSet
 from ffdigits.field import get_field
 
-def first_chunk(args):
-    raise RuntimeError(f"first chunk at {{args[3]}}")
+def first_chunk(tables, start, stop):
+    raise RuntimeError(f"first chunk at {{start}}")
 
-census._census_chunk = first_chunk
+census.sieve = first_chunk
+census.sieve_tables = lambda field, n, allowed: None
 try:
     census.count_restricted(
         RestrictedSet(get_field(3), frozenset()), 39, workers={workers}, budget=10**30

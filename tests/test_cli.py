@@ -1,13 +1,12 @@
 import json
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ffdigits import census, charsum, checks, cli, field, polys
+from ffdigits import census, charsum, checks, cli, polys
 from ffdigits.census import count_restricted
 from ffdigits.charsum import RestrictedSet
 from ffdigits.circle import PredictorParams
@@ -19,7 +18,7 @@ from ffdigits.cli import (
     build_parser,
     main,
 )
-from ffdigits.field import default_modulus, get_field
+from ffdigits.field import get_field
 
 
 def run(capsys, *argv):
@@ -40,42 +39,43 @@ def test_count_extension_field(capsys):
     assert out.strip() == "6"
 
 
-def test_count_builds_its_field_once(capsys, monkeypatch):
-    # over F_9 Rabin's test runs only in the search for the default modulus:
-    # t^2 is reducible and t^2 + 1 is not
+def _spy_on_lists(monkeypatch) -> list:
+    """Record (q, d) for every call of S's list builder, with its cache and the
+    interned fields cleared; Rabin's test is banned."""
     calls = []
-    rabin = field._irreducible_over_prime_field
+    monkeypatch.setattr(polys, "is_irreducible", None)
+    rows = polys.irreducible_rows
     monkeypatch.setattr(
-        field, "_irreducible_over_prime_field", lambda m, p: calls.append(m) or rabin(m, p)
+        polys, "irreducible_rows", lambda F, d: calls.append((F.q, d)) or rows(F, d)
     )
     get_field.cache_clear()
-    default_modulus.cache_clear()
+    rows.cache_clear()
+    return calls
+
+
+def test_count_builds_its_field_once(capsys, monkeypatch):
+    # over F_9 the modulus is row 0 of the degree-2 list over F_3, which
+    # recurses on degree 1; the census reads lists of its own
+    calls = _spy_on_lists(monkeypatch)
     code, out, _ = run(capsys, "count", "--q", "9", "--n", "3")
     assert code == EXIT_OK
     assert out.strip() == "240"
-    assert calls == [(0, 0, 1), (1, 0, 1)]
+    assert calls == [(3, 2), (3, 1)]
+    assert get_field(3, 2).modulus == (1, 0, 1)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_count_tests_an_explicit_modulus_once(capsys, monkeypatch, workers):
-    # t^2 + 2t + 2 is irreducible over F_3; no default modulus is searched for,
-    # and the census and its pool workers reuse the field
-    calls = []
-    rabin = field._irreducible_over_prime_field
-    monkeypatch.setattr(
-        field, "_irreducible_over_prime_field", lambda m, p: calls.append(m) or rabin(m, p)
-    )
-    get_field.cache_clear()
-    default_modulus.cache_clear()
+    # t^2 + 2t + 2 is irreducible over F_3: the same list shows it, once, and
+    # the census and its threads reuse the field
+    calls = _spy_on_lists(monkeypatch)
     code, out, _ = run(
         capsys, "count", "--q", "9", "--n", "6", "--ext-modulus", "2,2,1", "--workers", workers
     )
     assert code == EXIT_OK
     assert out.strip() == str(polys.prime_count(9, 6))
-    # a pool worker unpickles its field through get_field, so it tests the modulus once
-    F9 = get_field(3, 2, (2, 2, 1))
-    assert pickle.loads(pickle.dumps(F9)) is F9
-    assert calls == [(2, 2, 1)]
+    assert calls == [(3, 2), (3, 1)]
+    assert get_field(3, 2, (2, 2, 1)).modulus == (2, 2, 1)
 
 
 def test_predict(capsys):
@@ -147,7 +147,7 @@ def test_verify_json_output(capsys, tmp_path):
     assert rec["cases"] >= 1
 
 
-def test_verify_rejects_flags_no_check_takes(capsys, monkeypatch):
+def test_verify_rejects_flags_no_check_takes(capsys):
     for argv, ignored in (
         (("partition", "--q", "7", "--n", "5"), "--q, --n"),
         (("all", "--forbid", "0"), "--forbid"),
@@ -157,10 +157,7 @@ def test_verify_rejects_flags_no_check_takes(capsys, monkeypatch):
         code, out, err = run(capsys, "verify", *argv)
         assert code == EXIT_USAGE, argv
         assert out == "" and err.strip().endswith(f"no check takes {ignored}")
-    # flags that some selected check takes still run; the environment is no flag
-    monkeypatch.setenv("FFDIGITS_WORKERS", "2")
-    code, out, _ = run(capsys, "verify", "partition")
-    assert code == EXIT_OK and "pass" in out
+    # flags that some selected check takes still run
     code, out, _ = run(capsys, "verify", "lemma5", "--q", "3", "--d-max", "2")
     assert code == EXIT_OK and "pass" in out
 
@@ -297,25 +294,6 @@ def test_budget_exit(capsys):
     )
     assert code == EXIT_BUDGET
     assert "budget exceeded" in err
-
-
-def test_workers_env(capsys, monkeypatch):
-    monkeypatch.setenv("FFDIGITS_WORKERS", "2")
-    code, out, _ = run(capsys, "count", "--q", "3", "--forbid", "0", "--n", "5")
-    assert code == EXIT_OK
-    monkeypatch.setenv("FFDIGITS_WORKERS", "1")
-    code2, out2, _ = run(capsys, "count", "--q", "3", "--forbid", "0", "--n", "5")
-    assert out == out2
-
-
-@pytest.mark.parametrize("value", ["abc", "-3", "0"])
-def test_workers_env_must_be_positive(capsys, monkeypatch, value):
-    monkeypatch.setenv("FFDIGITS_WORKERS", value)
-    for argv in (("count", "--q", "3", "--n", "4"), ("scan", "--q", "3", "--n", "2:3"), ("verify",)):
-        code, out, err = run(capsys, *argv)
-        assert code == EXIT_USAGE
-        assert f"FFDIGITS_WORKERS: expected a positive integer, got '{value}'" in err
-        assert "pass" not in out
 
 
 @pytest.mark.parametrize("value", ["-2", "0"])

@@ -56,6 +56,9 @@ def test_bad_constructions():
     with pytest.raises(FieldError):
         FieldSpec(2, 2, modulus=(0, 0, 1))  # t^2 is reducible
     with pytest.raises(FieldError):
+        # t^2 + 2 = (t + 1)(t + 2), though t^2 + t + 2 is irreducible
+        FieldSpec(3, 2, modulus=(2, 0, 1))
+    with pytest.raises(FieldError):
         FieldSpec(5, 1, modulus=(1, 1))
 
 
