@@ -131,32 +131,24 @@ class CensusReport:
     error: str | None = None
 
     def row(self) -> dict:
-        """The frozen report columns."""
-        return {
-            "q": self.q,
-            "s": self.s,
-            "forbidden": ",".join(str(c) for c in self.forbidden),
-            "n": self.n,
-            "exact": self.exact,
-            "predictor": self.predictor,
-            "ratio": self.ratio,
-            "lambda": float(self.lam),
-            "budget_total": self.budget_total,
-            "elapsed_s": round(self.elapsed, 6),
-        }
+        """The frozen report columns, `REPORT_COLUMNS`."""
+        values = (
+            self.q,
+            self.s,
+            ",".join(str(c) for c in self.forbidden),
+            self.n,
+            self.exact,
+            self.predictor,
+            self.ratio,
+            float(self.lam),
+            self.budget_total,
+            round(self.elapsed, 6),
+        )
+        return dict(zip(REPORT_COLUMNS, values))
 
 
 REPORT_COLUMNS = [
-    "q",
-    "s",
-    "forbidden",
-    "n",
-    "exact",
-    "predictor",
-    "ratio",
-    "lambda",
-    "budget_total",
-    "elapsed_s",
+    "q", "s", "forbidden", "n", "exact", "predictor", "ratio", "lambda", "budget_total", "elapsed_s"
 ]
 
 

@@ -12,14 +12,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import FieldSpec, add, digits, matmul
+from .field import FieldSpec, digits, madd, undigits
 from .laurent import RationalPoint, e_q_of, frac_digits
-from .polys import Poly, enumerate_monic, irreducible_rows, prime_count
+from .polys import enumerate_monic, irreducible_rows
 
-# Largest (window x irreducible) product, in entries, that `s_at_window` forms
-# at once.  At 2^15 the temporaries of one block added ~1 MB to the peak RSS of
-# a q=3, n=6 orthogonality count; at 2^13 they add ~0.1 MB, at the same speed.
-_BLOCK = 1 << 13
+# Most entries p q^n of one `residue_counts` table.  It admits every default
+# check, (q, n) = (17, 4), (3, 12), (2, 20) and lemma1 at q = 9, n = 5; the
+# transform's temporaries then hold about three tables, ~50 MB at the bound.
+_COUNTS_LIMIT = 1 << 21
 
 
 def local_factor(q: int, s: int, zero_in_R: bool) -> Fraction:
@@ -133,32 +133,60 @@ def s_r_definitional(R: RestrictedSet, n: int, x: RationalPoint) -> complex:
     return sum(e_q_of(m, x) for m in enumerate_monic(R.spec, n, R.complement))
 
 
+def _counts_entries(spec: FieldSpec, n: int) -> int:
+    """p q^n, the entries of a `residue_counts` table; refuses past `_COUNTS_LIMIT`."""
+    if spec.p * spec.q**n > _COUNTS_LIMIT:
+        raise ValueError(f"F_{spec.q} residue counts of degree {n} pass {_COUNTS_LIMIT} entries")
+    return spec.p * spec.q**n
+
+
+def residue_counts(spec: FieldSpec, n: int, indicator) -> np.ndarray:
+    """C[x, r]: the number of h with `indicator[h]` set and Tr(sum_j h_j x_j) = r,
+    for every x in F_q^n, by its code sum_j x_j q^j as h, and r in F_p.  Tr is
+    additive, so each coordinate in turn moves the entries at h_j along r by
+    Tr(h_j x_j) and sums over h_j.  Refuses past `_COUNTS_LIMIT` before it allocates.
+    """
+    _counts_entries(spec, n)
+    q, p, E = spec.q, spec.p, np.arange(spec.q)
+    # back[h, x, r] = r - Tr(h x), the residue that moves to r
+    back = (np.arange(p) - spec.trace_table[madd(spec, 0, E[:, None], E)][..., None]) % p
+    C = np.zeros((q**n, p), dtype=np.int64)
+    C[:, 0] = indicator
+    for j in range(n):
+        old = C.reshape(q ** (n - 1 - j), q, q**j, p)  # axis 1 holds coordinate j
+        C = np.zeros_like(old)
+        for h in range(q):
+            C += old[:, h][:, :, back[h]].swapaxes(1, 2)
+    return C.reshape(q**n, p)
+
+
+@lru_cache(maxsize=1)
+def irreducible_counts(spec: FieldSpec, n: int) -> np.ndarray:
+    """Read-only `residue_counts` of the monic irreducibles of degree n, by their
+    rows in `polys.irreducible_rows`, which are listed after the bound is checked."""
+    indicator = np.zeros(_counts_entries(spec, n) // spec.p, dtype=bool)
+    indicator[undigits(irreducible_rows(spec, n), spec.q)] = True
+    C = residue_counts(spec, n, indicator)
+    C.flags.writeable = False
+    return C
+
+
 def s_at_window(spec: FieldSpec, n: int, window):
     """S(x) from its digit window x_{-1}..x_{-n-1}, as `frac_digits` returns it.
 
     `window` is one window or an (N, >= n+1) int64 array of windows; an array
-    gives the N values.  The t^{-1} coefficient of h*x is sum_j h_j x_{-j-1},
-    so one F_q product against the coefficient rows of the irreducibles h
-    gives every character argument at once; the leading h_n = 1 adds x_{-n-1}.
-    The windows go in row blocks of at most `_BLOCK` (window x irreducible)
-    entries, and at least one row.
+    gives the N values.  The t^{-1} coefficient of h*x is sum_j h_j x_{-j-1}
+    plus x_{-n-1} from the leading h_n = 1, so S(x) is psi(x_{-n-1}) times
+    sum_r e(r/p) `irreducible_counts`[code of x_{-1}..x_{-n}, r].
     """
     w = _windows(window, n)
-    W = np.atleast_2d(w)
-    H = irreducible_rows(spec, n).T
-    step = max(1, _BLOCK // max(1, H.shape[1]))
-    out = np.empty(len(W), dtype=complex)
-    for lo in range(0, len(W), step):
-        rows = W[lo : lo + step]
-        acc = matmul(spec, rows[:, :n], H)
-        out[lo : lo + step] = spec.psi_table[add(spec, acc, rows[:, n, None])].sum(-1)
-    return _result(out, w)
+    roots = np.exp(2j * np.pi * np.arange(spec.p) / spec.p)
+    C = irreducible_counts(spec, n)[undigits(w[..., :n], spec.q)]
+    return _result(spec.psi_table[w[..., n]] * (C @ roots), w)
 
 
 def s_at(spec: FieldSpec, n: int, x: RationalPoint) -> complex:
     """S(x): the character sum over all monic irreducibles of degree n."""
-    if x.is_zero:
-        return complex(prime_count(spec, n))
     return s_at_window(spec, n, frac_digits(x, n + 1))
 
 

@@ -8,10 +8,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
-from .charsum import _BLOCK, RestrictedSet, local_factor, s_at_window, s_r_at
+from .charsum import RestrictedSet, irreducible_counts, local_factor, residue_counts, s_at_window
 from .field import FieldSpec, add, digits, matmul, undigits
 from .laurent import RationalPoint
 from .polys import (
@@ -26,10 +27,9 @@ from .polys import (
 
 
 class NumericalError(RuntimeError):
-    """The orthogonality average failed to land on an integer."""
+    """The orthogonality sums broke the symmetry or the divisibility they must have."""
 
 
-ORTH_TOLERANCE = 1e-6
 # Most window entries (rows x window length) that `farey_windows` builds.  It
 # admits every default check (lemma6 at p = 7: ~10^5 rows x 9 digits) and
 # q <= 9 at deg g <= 3 with 9 digits.
@@ -208,6 +208,9 @@ def lemma1_errors(field: FieldSpec, n: int) -> tuple:
     the offset only when |gamma| < q^(-n), that is k = n+1, where
     e(t^n gamma) = psi(1).
     """
+    # both bounds before any window or list is built, then S's table
+    farey_window_rows(field.q, 0, n // 2, n + 1)
+    irreducible_counts(field, n)
     fw = farey_windows(field, 0, n // 2, n + 1)
     pi = prime_count(field, n)
     ratio = np.zeros(len(fw))
@@ -310,25 +313,24 @@ def error_budget(q: int, s: int, n: int) -> float:
 def orthogonality_count(R: RestrictedSet, n: int) -> int:
     """Count restricted irreducibles through the discrete orthogonality average.
 
-    Averages S(a/t^(n+1)) * conj(S_R(a/t^(n+1))) over all q^(n+1) points and
-    rounds; a deviation of 1e-6 or more from an integer is a hard error.
-    Points are taken in blocks of fixed size, so the summation order is fixed;
-    each block's windows hold at most `charsum._BLOCK` digits.
+    The average of S(x) conj(S_R(x)) over the q^(n+1) points x = a/t^(n+1) is
+    exact in integers.  With C the `residue_counts` of the irreducibles and C_R
+    those of the allowed monics (a tensor product of one allowed-digit row per
+    coefficient), psi(x_{-n-1}) cancels and the average is
+    q^(-n) sum_k T_k e(k/p), T_k = sum_x sum_r C[x, r] C_R[x, r - k].  x -> c x
+    for c in F_p^* gives T_k = T_{k/c}, so the count is (T_0 - T_1) / q^n; T_k
+    that differ at k != 0, or a remainder, raise `NumericalError`.
     """
-    field = R.spec
-    m = n + 1
-    npoints = field.q**m
-    total = 0j
-    step = max(1, _BLOCK // m)
-    for lo in range(0, npoints, step):
-        codes = np.arange(lo, min(lo + step, npoints), dtype=np.int64)
-        window = digits(codes, field.q, m)[:, ::-1]  # window[:, j] = a_{n-j}
-        total += (s_at_window(field, n, window) * s_r_at(R, n, window).conj()).sum()
-    value = complex(total) / npoints
-    nearest = round(value.real)
-    deviation = max(abs(value.imag), abs(value.real - nearest))
-    if deviation >= ORTH_TOLERANCE:
-        raise NumericalError(
-            f"orthogonality average {value} deviates {deviation:.3g} from an integer"
-        )
-    return int(nearest)
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    spec = R.spec
+    C = irreducible_counts(spec, n)  # checks the bound before anything is listed
+    allowed = np.isin(np.arange(spec.q), R.complement)
+    C_R = residue_counts(spec, n, reduce(np.outer, [allowed] * n, np.ones(1, bool)).ravel())
+    # q^n <= 2^20 under the bound, so T_k <= q^n pi(n) (q - s)^n < 2^60 is exact in int64
+    M = C.T @ C_R  # M[r, r'] = sum_x C[x, r] C_R[x, r']
+    T = [int(np.trace(np.roll(M, k, axis=1))) for k in range(spec.p)]
+    count, rest = divmod(T[0] - T[1], spec.q**n)
+    if len(set(T[1:])) > 1 or rest:
+        raise NumericalError(f"T_k = {T} differ at k != 0, or q^n does not divide T_0 - T_1")
+    return count

@@ -1,7 +1,7 @@
 """Command-line front door: censuses, predictors, and the verification battery.
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage error,
-3 numerical failure in the orthogonality average, 4 budget exceeded or out of memory.
+Exit codes: 0 success, 1 a verification check failed, 2 usage error, 3 the
+orthogonality sums broke their symmetry or divisibility, 4 budget exceeded or out of memory.
 """
 
 from __future__ import annotations

@@ -15,13 +15,14 @@ from ffdigits.charsum import (
     lemma3_bound,
     lemma6_bound,
     nonzero_digit_count,
+    residue_counts,
     s_at,
     s_at_window,
     s_r_at,
     s_r_definitional,
 )
 from ffdigits.circle import farey_enumerate
-from ffdigits.field import get_field, prime_power
+from ffdigits.field import digits, get_field, prime_power
 from ffdigits.laurent import RationalPoint, e_q_of, frac_digits
 from ffdigits.polys import Poly, enumerate_monic, is_irreducible, poly_gcd, prime_count
 
@@ -158,6 +159,23 @@ def test_batched_kernels_match_row_by_row(q):
         for x, s_val, s_r_val in zip(points, s_rows, s_r_rows):
             assert abs(s_val - s_at(field, n, x)) < 1e-9
             assert abs(s_r_val - s_r_definitional(R, n, x)) < 1e-9
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3), (9, 2)])
+def test_residue_counts_match_the_definition(q, n):
+    # an arbitrary indicator, one scalar trace per (x, h) pair
+    field = get_field(*prime_power(q))
+    indicator = np.random.default_rng(q).random(q**n) < 0.4
+    C = residue_counts(field, n, indicator)
+    rows = digits(np.arange(q**n, dtype=np.int64), q, n).tolist()
+    for x, xs in enumerate(rows):
+        want = [0] * field.p
+        for h in np.flatnonzero(indicator).tolist():
+            acc = 0
+            for hj, xj in zip(rows[h], xs):
+                acc = field.add(acc, field.mul(hj, xj))
+            want[field.trace(acc)] += 1
+        assert C[x].tolist() == want, (q, x)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])

@@ -225,23 +225,17 @@ def test_lemma1_errors_match_the_definition(monkeypatch, q, ns):
             assert np.allclose(margins[i], expected, rtol=0, atol=1e-9), (q, n, fw.point(i))
 
 
-def test_lemma1_blocks_rows(monkeypatch):
-    # S forms its (window x irreducible) products in row blocks of at most
-    # _BLOCK entries, or of one row where one row holds more; the errors do not
-    # depend on the blocks
-    whole = lemma1_errors(F3, 6)[2]
-    kernel, pi = charsum.matmul, prime_count(3, 6)
-    for block in (500, 50):
-        products = []
+def test_lemma1_refuses_past_the_counts_bound_before_any_window(monkeypatch, capsys):
+    # p q^n = 5^10 entries, past the bound of 2^21; the Farey windows are within theirs
+    def banned(*args):
+        raise AssertionError("windows built past the bound")
 
-        def recording(field, A, B):
-            products.append(A.shape[0] * B.shape[1])
-            return kernel(field, A, B)
-
-        monkeypatch.setattr(charsum, "matmul", recording)
-        monkeypatch.setattr(charsum, "_BLOCK", block)
-        assert np.array_equal(lemma1_errors(F3, 6)[2], whole)
-        assert len(products) > 1 and max(products) == max(1, block // pi) * pi
+    monkeypatch.setattr(circle, "farey_windows", banned)
+    monkeypatch.setattr(charsum, "irreducible_rows", banned)
+    with pytest.raises(ValueError, match="residue counts"):
+        lemma1_errors(F5, 9)
+    assert cli.main(["verify", "lemma1", "--q", "5", "--n", "9"]) == cli.EXIT_USAGE == 2
+    assert "residue counts" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -331,24 +325,50 @@ def test_orthogonality_examples():
                 assert orthogonality_count(R, n) == count_restricted(R, n), (q, forbidden, n)
 
 
-def _s_off_at_zero(monkeypatch):
-    """Make circle's S kernel add i*q^(n+1)/2 at the point 0.  That moves the
-    orthogonality average by i*(q-s)^n/2, off every integer by at least 0.5."""
-    kernel = circle.s_at_window
+@pytest.mark.parametrize("q,forbidden,n", [(17, {0}, 4), (9, {0}, 4), (5, {0, 1}, 7)])
+def test_orthogonality_matches_census_exactly(q, forbidden, n):
+    # a large prime field, an extension field and a long restricted degree
+    R = RestrictedSet(get_field(*prime_power(q)), frozenset(forbidden))
+    assert orthogonality_count(R, n) == count_restricted(R, n)
 
-    def shifted(spec, n, window):
-        return kernel(spec, n, window) + 0.5j * spec.q ** (n + 1) * ~window.any(axis=-1)
 
-    monkeypatch.setattr(circle, "s_at_window", shifted)
+def test_orthogonality_degree_validation():
+    R = RestrictedSet.of(F3, 0)
+    assert orthogonality_count(R, 0) == 0
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        orthogonality_count(R, -1)
+
+
+def test_orthogonality_refuses_past_the_bound_before_listing(monkeypatch):
+    def banned(*args):
+        raise AssertionError("irreducibles listed past the bound")
+
+    monkeypatch.setattr(charsum, "irreducible_rows", banned)
+    with pytest.raises(ValueError, match="residue counts"):
+        orthogonality_count(RestrictedSet.of(F5, 0), 9)
+
+
+def _c_r_off_by_one(monkeypatch):
+    """Raise circle's C_R at x = 1, r = 1 by one.  T_k then gains C[1, 1 + k],
+    the irreducibles with Tr(h_0) = 1 + k, which differ across k != 0 for
+    q = 3, n = 2 (t^2 + 1 against two with h_0 = 2)."""
+    kernel = circle.residue_counts
+
+    def faulty(spec, n, indicator):
+        C = kernel(spec, n, indicator)
+        C[1, 1] += 1
+        return C
+
+    monkeypatch.setattr(circle, "residue_counts", faulty)
 
 
 def test_orthogonality_numerical_error(monkeypatch):
-    _s_off_at_zero(monkeypatch)
-    with pytest.raises(NumericalError, match="deviates 0.5 from an integer"):
-        orthogonality_count(RestrictedSet.of(F2, 0), 3)
+    _c_r_off_by_one(monkeypatch)
+    with pytest.raises(NumericalError, match=r"T_k = \[\d+, \d+, \d+\] differ at k != 0"):
+        orthogonality_count(RestrictedSet.of(F3, 0), 2)
 
 
 def test_verify_identity_numerical_exit(monkeypatch, capsys):
-    _s_off_at_zero(monkeypatch)
+    _c_r_off_by_one(monkeypatch)
     assert cli.main(["verify", "identity"]) == cli.EXIT_NUMERICAL == 3
     assert "numerical failure" in capsys.readouterr().err
