@@ -1,32 +1,23 @@
 """Exact censuses and bound verification for irreducible polynomials with
 restricted coefficients over finite fields."""
 
-from .census import CensusReport, count_restricted, scan
-from .charsum import RestrictedSet
-from .checks import CheckResult, run_check
-from .circle import PredictorParams, main_term, orthogonality_count, predictor
-from .field import FieldSpec, get_field
-from .laurent import RationalPoint, frac_digits
-from .polys import Poly, euler_phi, is_irreducible, mobius, prime_count
+from importlib import import_module
 
-__all__ = [
-    "CensusReport",
-    "CheckResult",
-    "FieldSpec",
-    "Poly",
-    "PredictorParams",
-    "RationalPoint",
-    "RestrictedSet",
-    "count_restricted",
-    "euler_phi",
-    "frac_digits",
-    "get_field",
-    "is_irreducible",
-    "main_term",
-    "mobius",
-    "orthogonality_count",
-    "predictor",
-    "prime_count",
-    "run_check",
-    "scan",
-]
+# each submodule's public names; it is imported on first use (PEP 562), so a census skips checks
+_EXPORTS = {
+    "census": ("CensusReport", "count_restricted", "scan"),
+    "charsum": ("RestrictedSet",),
+    "checks": ("CheckResult", "run_check"),
+    "circle": ("PredictorParams", "main_term", "orthogonality_count", "predictor"),
+    "field": ("FieldSpec", "get_field"),
+    "laurent": ("RationalPoint", "frac_digits"),
+    "polys": ("Poly", "euler_phi", "is_irreducible", "mobius", "prime_count"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_SOURCE[name]}", __name__), name)

@@ -14,7 +14,6 @@ from contextlib import ExitStack
 
 from .census import BudgetError, DEFAULT_BUDGET, count_restricted, scan, write_csv, write_json
 from .charsum import RestrictedSet
-from .checks import CHECKS, run_check
 from .circle import NumericalError, PredictorParams, predictor
 from .field import FieldError, FieldSpec, get_field, prime_power
 
@@ -176,6 +175,7 @@ def _check_params(flags: dict, fn) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    from .checks import CHECKS, run_check  # here, so that a census does not compile the checks
     ids = list(CHECKS) if args.check == "all" else [args.check]
     unknown = [c for c in ids if c not in CHECKS]
     if unknown:

@@ -69,31 +69,44 @@ def digits(value, base: int, width: int):
     return tuple(out)
 
 
-def undigits(rows, base: int) -> np.ndarray:
-    """The values whose base-`base` digits, least significant first, lie along
-    the last axis of `rows`: the inverse of `digits` on arrays."""
-    rows = np.asarray(rows, dtype=np.int64)
-    return rows @ base ** np.arange(rows.shape[-1], dtype=np.int64)
+def undigits(rows, base: int, dtype=np.int64) -> np.ndarray:
+    """The values whose base-`base` digits, least significant first, lie along the last
+    axis of `rows`, by Horner's rule in `dtype`, which must hold them: `digits` inverted."""
+    rows = np.asarray(rows)
+    out = rows[..., -1].astype(dtype) if rows.shape[-1] else np.zeros(rows.shape[:-1], dtype)
+    for j in range(rows.shape[-1] - 2, -1, -1):
+        np.multiply(out, base, out=out, casting="unsafe")
+        np.add(out, rows[..., j], out=out, casting="unsafe")
+    return out
+
+
+def _mod(X, p: int):
+    """X mod p, in place on the caller's own X: numpy vectorizes // by a scalar, not %."""
+    if np.size(X) < 1024:  # where a single % costs less than three calls
+        return X % p
+    Q = X // p
+    X -= np.multiply(Q, p, out=Q)
+    return X
 
 
 def negate(field: FieldSpec, A: np.ndarray) -> np.ndarray:
     """-A over F_q, elementwise."""
     if field.k == 1:
-        return -A % field.p
+        return _mod(-A, field.p)
     return field.neg_table[A]
 
 
 def add(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A + B over F_q, elementwise."""
     if field.k == 1:
-        return (A + B) % field.p
+        return _mod(A + B, field.p)
     return field.add_table[A, B]
 
 
 def madd(field: FieldSpec, C: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """C + A B over F_q, elementwise."""
     if field.k == 1:
-        return (C + A * B) % field.p
+        return _mod(C + A * B, field.p)
     return field.add_table[C, field.mul_table[A, B]]
 
 
@@ -105,7 +118,7 @@ def matmul(field: FieldSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     accumulate one column of A times one row of B at a time.
     """
     if field.k == 1:
-        return (A @ B) % field.p
+        return _mod(A @ B, field.p)
     out = A[..., :0] @ B[..., :0, :]  # zeros in the broadcast output shape
     for i in range(A.shape[-1]):
         out = madd(field, out, A[..., i, None], B[..., i, None, :])

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import FieldError, FieldSpec, digits, is_prime, madd, matmul, negate, undigits
+from .field import FieldError, FieldSpec, add, digits, is_prime, madd, matmul, negate, undigits
 
 
 class Poly:
@@ -272,22 +272,42 @@ _BLOCK = 1 << 16
 _CHUNK = 1 << 15
 
 
-def _codes(field, A: np.ndarray, G: np.ndarray, powers: range) -> np.ndarray:
-    """The codes sum_i r_i q^i of the remainders mod every g of G of the
-    polynomials sum_k A[:, k] t^powers[k], as a (len(A), len(G)) array."""
-    d = G.shape[1]
-    out = np.empty((len(A), len(G)), dtype=np.min_scalar_type(field.q**d - 1))
+def _codes(field, columns: list, G: np.ndarray, powers: range) -> np.ndarray:
+    """The codes sum_i r_i q^i of the remainders mod every g of G of sum_k c_k t^powers[k]
+    for every choice of c_k from columns[k]: a (prod len(columns[k]), len(G)) array in
+    `digits` order of the choices.  Rows V grow a column at a time (`_column`), on prime
+    fields unreduced in the narrowest type that holds len(columns) (p - 1)^2, then are
+    reduced once and packed into the code type by `undigits`.  No V holds over `_BLOCK`
+    entries: irreducibles come in blocks, and columns past that as offsets per row block."""
+    q, d = field.q, G.shape[1]
+    prefix = np.cumprod([1] + [len(vals) for vals in columns])  # rows per g of k columns
+    out = np.empty((int(prefix[-1]), len(G)), dtype=np.min_scalar_type(q**d - 1))
+    bound = len(columns) * (field.p - 1) ** 2 if field.k == 1 else q - 1
+    acc = np.int16 if bound < 1 << 15 else np.int32 if bound < 1 << 31 else np.int64
+    inner = max(1, int(np.searchsorted(prefix * d, _BLOCK, side="right"))) - 1
+    rows = int(prefix[inner])  # V spans the first `inner` columns
     # the bases of all of G hold powers.stop d len(G) entries, which no budget counts
-    step = max(1, _BLOCK // (powers.stop * d))
+    step, width = (max(1, _BLOCK // (size * d)) for size in (powers.stop, rows))
     for i in range(0, len(G), step):
-        # d columns per g; the copy drops the bases before the products
-        basis = remainder_bases(field, G[i : i + step], powers.stop - 1)[:, powers.start :]
-        basis = basis.transpose(1, 0, 2).reshape(len(powers), -1)
-        rows = max(1, _BLOCK // basis.shape[1])
-        for k in range(0, len(A), rows):
-            rem = matmul(field, A[k : k + rows], basis)
-            out[k : k + rows, i : i + step] = undigits(rem.reshape(len(rem), -1, d), field.q)
+        bases = remainder_bases(field, G[i : i + step], powers.stop - 1)[:, powers.start :]
+        bases = bases.transpose(1, 0, 2).astype(acc)
+        for b in range(0, bases.shape[1], width):
+            basis = bases[:, b : b + width].reshape(len(powers), -1)
+            V = np.zeros((1, basis.shape[1]), dtype=acc)
+            for vals, r in zip(columns[:inner], basis):
+                V = _column(field, V, np.asarray(vals, dtype=acc), r)
+            # one choice of the outer columns, most significant first, per block of rows
+            for T, top in enumerate(product(*columns[inner:][::-1])):
+                offset = matmul(field, np.array(top[::-1], dtype=acc), basis[inner:]) if top else 0
+                codes = undigits(add(field, V, offset).reshape(rows, -1, d), q, out.dtype)
+                out[T * rows : (T + 1) * rows, i + b : i + b + codes.shape[1]] = codes
     return out
+
+
+def _column(field, V: np.ndarray, vals: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """V + c r for every c of vals, as rows with c most significant; unreduced on prime fields."""
+    V, vals = V[None], vals[:, None, None]
+    return (vals * r + V if field.k == 1 else madd(field, V, vals, r)).reshape(-1, r.shape[-1])
 
 
 def sieve_tables(field: FieldSpec, n: int, allowed: tuple) -> tuple:
@@ -297,28 +317,24 @@ def sieve_tables(field: FieldSpec, n: int, allowed: tuple) -> tuple:
     low_L + t^h high_H + t^n, where low_L carries c_0..c_{h-1} and high_H
     carries c_h..c_{n-1}.  lowcode[L, j] is the code of low_L mod g_j and
     highcode[H, j] the code of -(t^h high_H + t^n) mod g_j, so g_j divides the
-    candidate exactly when the two codes are equal.  A compare stage keeps
-    (lowcode, highcode).  A mark stage keeps (`_invert(lowcode)`, highcode)
-    instead; a degree is marked exactly when its padded inverse holds at most
-    twice the entries of lowcode.
+    candidate exactly when the two codes are equal; `_codes` builds both digit by
+    digit.  A compare stage keeps (lowcode, highcode).  A mark stage keeps
+    (`_invert(lowcode)`, highcode) instead; a degree is marked exactly when its
+    padded inverse holds at most twice the entries of lowcode.
     """
     m, half = len(allowed), n // 2
     h = n - half
     marks, compares = [], []
     if n < 2:
         return m**h, marks, compares
-    low = np.array(allowed, dtype=np.int64)[digits(np.arange(m**h, dtype=np.int64), m, h)]
-    # digit index m stands for the leading coefficient 1
-    neg = negate(field, np.array(allowed + (1,), dtype=np.int64))
-    high_idx = digits(np.arange(m**half, dtype=np.int64), m, half)
-    high = neg[np.concatenate([high_idx, np.full((m**half, 1), m)], axis=1)]
+    neg = negate(field, np.array(allowed + (1,), dtype=np.int64))  # the last is the leading 1
     for d in range(1, half + 1):
         G = irreducible_codes(field, d)
-        lowcode = _codes(field, low, G, range(h))
+        lowcode = _codes(field, [allowed] * h, G, range(h))
         inverse = _invert(lowcode, field.q**d)
         if inverse is not None:
             lowcode = None  # dropped before the high table is built
-        highcode = _codes(field, high, G, range(h, n + 1))
+        highcode = _codes(field, [neg[:-1]] * half + [neg[-1:]], G, range(h, n + 1))
         if inverse is None:
             compares.append((lowcode, highcode))
         else:

@@ -25,7 +25,7 @@ from ffdigits.census import (
     write_json,
 )
 from ffdigits.charsum import RestrictedSet
-from ffdigits.field import digits, get_field
+from ffdigits.field import digits, get_field, matmul, negate, undigits
 from ffdigits.polys import enumerate_monic, irreducible_codes, is_irreducible, prime_count
 
 F2 = get_field(2)
@@ -36,6 +36,8 @@ F7 = get_field(7)
 F8 = get_field(2, 3)
 F9 = get_field(3, 2)
 F17 = get_field(17)
+F25 = get_field(5, 2)
+F27 = get_field(3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +234,89 @@ def _candidate_rows(allowed, n):
     return np.array(allowed, dtype=np.int64)[digits(np.arange(len(allowed) ** n), len(allowed), n)]
 
 
+def _product_codes(field, A, G, powers):
+    """The per-row reference for `polys._codes`: the codes of the remainders mod
+    every g of G of the polynomials sum_k A[:, k] t^powers[k], each row of A
+    times the remainder bases in one product over F_q."""
+    d = G.shape[1]
+    basis = polys.remainder_bases(field, G, powers.stop - 1)[:, powers.start :]
+    rem = matmul(field, A, basis.transpose(1, 0, 2).reshape(len(powers), -1))
+    codes = undigits(rem.reshape(len(A), -1, d), field.q)
+    return codes.astype(np.min_scalar_type(field.q**d - 1))
+
+
+def _table_rows(field, allowed, n):
+    """The low and high rows of `sieve_tables`, by row index, with the powers of t
+    they multiply: c_0..c_{h-1}, and minus c_h..c_{n-1} and minus the leading 1."""
+    half = n // 2
+    h = n - half
+    neg = tuple(negate(field, np.array(allowed + (1,), dtype=np.int64)).tolist())
+    high = _candidate_rows(neg[:-1], half)
+    high = np.concatenate([high, np.full((len(high), 1), neg[-1], dtype=np.int64)], axis=1)
+    low = (_candidate_rows(allowed, h), [allowed] * h, range(h))
+    return low, (high, [neg[:-1]] * half + [neg[-1:]], range(h, n + 1))
+
+
+@pytest.mark.parametrize("block", [1 << 16, 50])
+@pytest.mark.parametrize(
+    "field,forbidden,n",
+    [
+        (F2, (), 12),
+        (F3, (1,), 11),
+        (F4, (0,), 7),
+        (F8, (7,), 6),
+        (F9, (6, 8), 6),
+        (F25, (0,), 4),
+        (F27, (1,), 4),
+        (F17, (0,), 4),
+        (get_field(181), (0, *range(2, 180)), 3),  # digits 1, 180: sums past 2^15
+    ],
+)
+def test_digit_by_digit_codes_equal_per_row_products(field, forbidden, n, block, monkeypatch):
+    # a column at a time, in F_p sums reduced once or by the extension field's
+    # tables, equals one product per row; 50 entries per block leave most
+    # columns to the offset rows.  At q = 181 the census's own tables sum in int32.
+    allowed = tuple(c for c in field.elements() if c not in forbidden)
+    monkeypatch.setattr(polys, "_BLOCK", block)
+    for d in range(1, n // 2 + 1):
+        G = irreducible_codes(field, d)
+        for rows, columns, powers in _table_rows(field, allowed, n):
+            codes = polys._codes(field, columns, G, powers)
+            expected = _product_codes(field, rows, G, powers)
+            assert codes.dtype == expected.dtype and np.array_equal(codes, expected)
+
+
+@pytest.mark.parametrize(
+    "p,columns,acc",
+    [
+        (3, 12, np.int16),
+        (181, 1, np.int16),  # 180^2 = 32400, just below 2^15
+        (181, 2, np.int32),
+        (191, 1, np.int32),
+        (46349, 1, np.int64),  # 46348^2 > 2^31
+    ],
+)
+def test_codes_sum_in_the_narrowest_type_that_holds_them(p, columns, acc, monkeypatch):
+    # the digits 1 and p - 1 against every linear g: at p = 181 the remainders
+    # 170 and 121 of t and t^2 mod t - 170 sum past 2^15, and 46348^2 > 2^31
+    field = get_field(p)
+    dtypes = []
+    column = polys._column
+
+    def recording_column(field, V, vals, r):
+        V = column(field, V, vals, r)
+        dtypes.append(V.dtype)
+        return V
+
+    monkeypatch.setattr(polys, "_column", recording_column)
+    G = np.arange(p, dtype=np.int64)[:, None]
+    rows = _candidate_rows((1, p - 1), columns)
+    codes = polys._codes(field, [(1, p - 1)] * columns, G, range(1, columns + 1))
+    assert set(dtypes) == {np.dtype(acc)}
+    expected = _product_codes(field, rows, G, range(1, columns + 1))
+    assert codes.dtype == expected.dtype and np.array_equal(codes, expected)
+
+
 def _listed_survivors(field, allowed, n):
     """Indices of the candidates whose monic code is in the product-sieve list
     `irreducible_rows(field, n)`, which shares no code with the census."""
@@ -269,7 +354,7 @@ def test_a_degree_is_inverted_exactly_when_its_inverse_is_small(field, forbidden
     inverted = [len(inverse) // high.shape[1] for inverse, high in marks]
     for d in range(1, n // 2 + 1):
         size = field.q**d
-        lowcode = polys._codes(field, low, irreducible_codes(field, d), range(h))
+        lowcode = _product_codes(field, low, irreducible_codes(field, d), range(h))
         width = max(np.bincount(col, minlength=size).max() for col in lowcode.T)
         assert (size in inverted) == (size * width <= 2 * split)
         if size in inverted:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,35 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_count_leaves_the_checks_uncompiled():
+    # a census imports neither the verification battery nor, through the
+    # package's lazy names, anything that imports it
+    code = (
+        "import sys\n"
+        "from ffdigits import cli\n"
+        "assert cli.main(['count', '--q', '3', '--forbid', '1', '--n', '8']) == 0\n"
+        "print('ffdigits.checks' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.split() == ["22", "False"]
+
+
+def test_package_names_resolve_lazily():
+    import ffdigits
+
+    for name in ffdigits.__all__:
+        module = import_module(f"ffdigits.{ffdigits._SOURCE[name]}")
+        assert getattr(ffdigits, name) is getattr(module, name)
+    with pytest.raises(AttributeError):
+        ffdigits.no_such_name
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "lemma99")
     assert code == EXIT_USAGE
@@ -340,7 +370,7 @@ def test_unwritable_output_exits_usage_before_work(capsys, monkeypatch, tmp_path
         raise AssertionError("work ran before the output file was opened")
 
     monkeypatch.setattr(census, "count_restricted", banned)
-    monkeypatch.setattr(cli, "run_check", banned)
+    monkeypatch.setattr(checks, "run_check", banned)
     paths = {"missing": tmp_path / "absent" / "out", "directory": tmp_path}
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == EXIT_USAGE

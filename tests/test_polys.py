@@ -229,24 +229,27 @@ def test_irreducible_rows_peak_near_its_list():
 def test_sieve_tables_build_bases_in_blocks(monkeypatch):
     # the bases of every irreducible of one degree hold (n+1) d pi(d) entries,
     # which no budget counts, so they are built a block of irreducibles at a
-    # time, and each remainder product of `_codes` is a block of rows
+    # time, and each column step of `_codes` holds a block: at d = 8 the 2^8
+    # low rows take 2048 entries per g, so their last columns come as offsets
     whole = polys.sieve_tables(F3, 16, (0, 2))
-    built, products = [], []
+    built, steps = [], []
+    column = polys._column
 
     def recording(field, G, n):
         built.append(G.size * (n + 1))
         return remainder_bases(field, G, n)
 
-    def recording_matmul(field, A, B):
-        products.append(A.shape[0] * B.shape[1])
-        return matmul(field, A, B)
+    def recording_column(field, V, vals, r):
+        V = column(field, V, vals, r)
+        steps.append(V.size)
+        return V
 
     monkeypatch.setattr(polys, "_BLOCK", 1000)
     monkeypatch.setattr(polys, "remainder_bases", recording)
-    monkeypatch.setattr(polys, "matmul", recording_matmul)
+    monkeypatch.setattr(polys, "_column", recording_column)
     blocked = polys.sieve_tables(F3, 16, (0, 2))
     assert max(built) <= 1000
-    assert products and max(products) <= 1000
+    assert steps and max(steps) <= 1000
     for stages, stages_b in zip(whole[1:], blocked[1:], strict=True):
         for (first, high), (first_b, high_b) in zip(stages, stages_b, strict=True):
             assert first.dtype == first_b.dtype and (first == first_b).all()
