@@ -6,11 +6,10 @@ remainder-code sieve of `polys`.  It splits a candidate into a low half and a
 high half, f = low + t^h high + t^n, and tabulates once per count the
 remainder of every low half and of minus every high half modulo each such
 irreducible g, packed into one integer code; g divides f exactly when the two
-codes agree.  A degree whose codes are dense is sieved by marks: its low table
-is inverted into lists of the low halves per (g, code), and every high half of
-a chunk marks the low halves listed under its own codes.  A degree is inverted
-exactly when its lists, padded to one width, hold at most twice the entries of
-its low table.  The other degrees compare the two codes per (surviving
+codes agree.  A degree whose codes are dense is sieved by marks: its low codes
+are scattered into lists of the low halves per (g, code), and every high half
+of a chunk marks those under its own codes.  Degrees whose lists would hold
+over twice the entries of their low table compare the two codes per (surviving
 candidate, g).  The same sieve lists the irreducibles it divides by.  A count
 builds its tables once, in the calling thread, and sieves its chunks in
 w = min(workers, chunks) interleaved stripes, chunk i in stripe i mod w: the
@@ -31,7 +30,7 @@ from fractions import Fraction
 
 from .charsum import RestrictedSet
 from .circle import PredictorParams, error_budget, predictor
-from .polys import _CHUNK, prime_count, sieve, sieve_tables
+from .polys import _CHUNK, marks_degree, prime_count, sieve, sieve_tables
 
 DEFAULT_BUDGET = 10**8
 # Candidate indices and remainder codes are computed in int64, so both stay
@@ -95,8 +94,9 @@ def count_restricted(
 
 
 def _check_sieve_budget(q: int, m: int, n: int, budget: int):
-    """Refuse, before any irreducible list exists, sieve tables past the budget."""
+    """Refuse, before any irreducible list exists, sieve tables (`marks_degree`) past the budget."""
     half = n // 2
+    h = n - half
     if half >= 63 or q**half >= _INT64_LIMIT:
         raise BudgetError(
             f"remainder codes modulo degree {half} exceed the int64 limit of 2^63"
@@ -106,7 +106,10 @@ def _check_sieve_budget(q: int, m: int, n: int, budget: int):
         raise BudgetError(
             f"{listed} candidates for the sieve's irreducible lists exceed the budget of {budget}"
         )
-    entries = (m ** (n - half) + m**half) * sum(prime_count(q, d) for d in range(1, half + 1))
+    entries = sum(
+        prime_count(q, d) * (m**half + (q**d * m ** (h - d) if marks_degree(q, m, h, d) else m**h))
+        for d in range(1, half + 1)
+    )
     if entries > budget:
         raise BudgetError(
             f"{entries} sieve table entries exceed the budget of {budget}"

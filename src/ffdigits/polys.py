@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .field import FieldError, FieldSpec, add, digits, is_prime, madd, matmul, negate, undigits
+from .field import FieldError, FieldSpec, _mod, add, digits, is_prime, madd, matmul, negate, undigits
 
 
 class Poly:
@@ -259,55 +259,58 @@ def is_irreducible(f: Poly) -> bool:
 # ---------------------------------------------------------------------------
 # the remainder-code sieve and the irreducible lists it builds
 
-# Most entries that one step of a sieve holds at once: a block of remainder
-# bases, a remainder product while tabulating codes, the inverse entries that a
-# mark stage gathers, the codes that a compare stage compares, or a block of
-# products w h in the product sieve.  Beyond its tables and its chunk, a census
-# then holds a few such blocks.  On a host with 2 MB of L2 per core, 2^16 and
-# 2^17 sieved fastest of 2^14 ... 2^20 at q = 17, n = 6 and q = 3, n = 20 (2^20
-# took 3.5x as long at q = 17), and 2^16 holds less.
+# Most entries that one step of a sieve holds at once: a block of remainder bases,
+# a remainder product while tabulating codes, the low codes that a mark stage
+# scatters or the inverse entries that it gathers, the codes that a compare stage
+# compares, or a block of products w h in the product sieve.  Beyond its tables
+# and its chunk, a census then holds a few such blocks.  On a host with 2 MB of L2
+# per core, 2^16 and 2^17 sieved fastest of 2^14 ... 2^20 at q = 17, n = 6 and
+# q = 3, n = 20 (2^20 took 3.5x as long at q = 17), and 2^16 holds less.
 _BLOCK = 1 << 16
 # Candidates sieved at once: one chunk of a census, or of the monics that
 # `irreducible_codes` lists from.
 _CHUNK = 1 << 15
 
 
-def _codes(field, columns: list, G: np.ndarray, powers: range) -> np.ndarray:
-    """The codes sum_i r_i q^i of the remainders mod every g of G of sum_k c_k t^powers[k]
-    for every choice of c_k from columns[k]: a (prod len(columns[k]), len(G)) array in
-    `digits` order of the choices.  Rows V grow a column at a time (`_column`), on prime
-    fields unreduced in the narrowest type that holds len(columns) (p - 1)^2, then are
-    reduced once and packed into the code type by `undigits`.  No V holds over `_BLOCK`
-    entries: irreducibles come in blocks, and columns past that as offsets per row block."""
-    q, d = field.q, G.shape[1]
+def _codes(field, columns: list, bases: np.ndarray, out: np.ndarray):
+    """Write to out[C, i], C in `digits` order of the choices of c_k from columns[k], the
+    code sum_j r_j q^j of the remainder mod g_i of sum_k c_k t^e_k, bases[i, k] = t^e_k
+    mod g_i.  Rows V grow a column at a time (`_column`), on prime fields unreduced in the
+    narrowest type that holds len(columns) (p - 1)^2, then are reduced once and packed into
+    out's type by `undigits`.  No V holds over `_BLOCK` entries: later columns are offsets."""
+    q, d = field.q, bases.shape[2]
     prefix = np.cumprod([1] + [len(vals) for vals in columns])  # rows per g of k columns
-    out = np.empty((int(prefix[-1]), len(G)), dtype=np.min_scalar_type(q**d - 1))
     bound = len(columns) * (field.p - 1) ** 2 if field.k == 1 else q - 1
     acc = np.int16 if bound < 1 << 15 else np.int32 if bound < 1 << 31 else np.int64
     inner = max(1, int(np.searchsorted(prefix * d, _BLOCK, side="right"))) - 1
     rows = int(prefix[inner])  # V spans the first `inner` columns
-    # the bases of all of G hold powers.stop d len(G) entries, which no budget counts
-    step, width = (max(1, _BLOCK // (size * d)) for size in (powers.stop, rows))
-    for i in range(0, len(G), step):
-        bases = remainder_bases(field, G[i : i + step], powers.stop - 1)[:, powers.start :]
-        bases = bases.transpose(1, 0, 2).astype(acc)
-        for b in range(0, bases.shape[1], width):
-            basis = bases[:, b : b + width].reshape(len(powers), -1)
-            V = np.zeros((1, basis.shape[1]), dtype=acc)
-            for vals, r in zip(columns[:inner], basis):
-                V = _column(field, V, np.asarray(vals, dtype=acc), r)
-            # one choice of the outer columns, most significant first, per block of rows
-            for T, top in enumerate(product(*columns[inner:][::-1])):
-                offset = matmul(field, np.array(top[::-1], dtype=acc), basis[inner:]) if top else 0
-                codes = undigits(add(field, V, offset).reshape(rows, -1, d), q, out.dtype)
-                out[T * rows : (T + 1) * rows, i + b : i + b + codes.shape[1]] = codes
-    return out
+    width = max(1, _BLOCK // (rows * d))
+    bases = bases.transpose(1, 0, 2).astype(acc)
+    for b in range(0, bases.shape[1], width):
+        basis = bases[:, b : b + width].reshape(len(columns), -1)
+        V = np.zeros((1, basis.shape[1]), dtype=acc)
+        for vals, r in zip(columns[:inner], basis):
+            V = _column(field, V, np.asarray(vals, dtype=acc), r)
+        # one choice of the outer columns, most significant first, per block of rows
+        for T, top in enumerate(product(*columns[inner:][::-1])):
+            if top:
+                X = add(field, V, matmul(field, np.array(top[::-1], dtype=acc), basis[inner:]))
+            else:  # V is read once: reduced in place on prime fields, already on extensions
+                X = _mod(V, field.p) if field.k == 1 else V
+            codes = undigits(X.reshape(rows, -1, d), q, out.dtype)
+            out[T * rows : (T + 1) * rows, b : b + codes.shape[1]] = codes
+        del X, codes  # the next block's V is built without these
 
 
 def _column(field, V: np.ndarray, vals: np.ndarray, r: np.ndarray) -> np.ndarray:
     """V + c r for every c of vals, as rows with c most significant; unreduced on prime fields."""
     V, vals = V[None], vals[:, None, None]
     return (vals * r + V if field.k == 1 else madd(field, V, vals, r)).reshape(-1, r.shape[-1])
+
+
+def marks_degree(q: int, m: int, h: int, d: int) -> bool:
+    """Whether `sieve_tables` marks degree d: its inverse's q^d m^(h-d) slots hold <= 2 m^h."""
+    return q**d * m ** (h - d) <= 2 * m**h
 
 
 def sieve_tables(field: FieldSpec, n: int, allowed: tuple) -> tuple:
@@ -317,49 +320,42 @@ def sieve_tables(field: FieldSpec, n: int, allowed: tuple) -> tuple:
     low_L + t^h high_H + t^n, where low_L carries c_0..c_{h-1} and high_H
     carries c_h..c_{n-1}.  lowcode[L, j] is the code of low_L mod g_j and
     highcode[H, j] the code of -(t^h high_H + t^n) mod g_j, so g_j divides the
-    candidate exactly when the two codes are equal; `_codes` builds both digit by
-    digit.  A compare stage keeps (lowcode, highcode).  A mark stage keeps
-    (`_invert(lowcode)`, highcode) instead; a degree is marked exactly when its
-    padded inverse holds at most twice the entries of lowcode.
+    candidate exactly when the two codes are equal; `_codes` builds both from one
+    run of `remainder_bases` per block of irreducibles.  A compare stage keeps
+    (lowcode, highcode), a mark stage (`marks_degree`) (inverse, highcode) with
+    inverse[j q^d + lowcode[L, j], L // m^d] = L and m^h in every other slot: low
+    halves with equal digits past the first d differ only below t^d, so in codes.
     """
-    m, half = len(allowed), n // 2
-    h = n - half
-    marks, compares = [], []
-    if n < 2:
-        return m**h, marks, compares
+    q, m, half, h = field.q, len(allowed), n // 2, n - n // 2
+    split = m**h
     neg = negate(field, np.array(allowed + (1,), dtype=np.int64))  # the last is the leading 1
+    low_columns, high_columns = [allowed] * h, [neg[:-1]] * half + [neg[-1:]]
+    rows = np.arange(split)
+    marks, compares = [], []
     for d in range(1, half + 1):
-        G = irreducible_codes(field, d)
-        lowcode = _codes(field, [allowed] * h, G, range(h))
-        inverse = _invert(lowcode, field.q**d)
-        if inverse is not None:
-            lowcode = None  # dropped before the high table is built
-        highcode = _codes(field, [neg[:-1]] * half + [neg[-1:]], G, range(h, n + 1))
-        if inverse is None:
-            compares.append((lowcode, highcode))
+        G, size, mark = irreducible_codes(field, d), q**d, marks_degree(q, m, h, d)
+        highcode = np.empty((m**half, len(G)), dtype=np.min_scalar_type(size - 1))
+        if mark:
+            low = np.full((len(G) * size, m ** (h - d)), split, dtype=np.min_scalar_type(split))
+            column = rows // m**d
         else:
-            marks.append((inverse, highcode))
-    return m**h, marks, compares
-
-
-def _invert(lowcode: np.ndarray, size: int):
-    """Row j size + c lists, in order, the rows L with lowcode[L, j] = c, padded
-    with len(lowcode) up to the widest list; None if that holds more than twice
-    the entries of lowcode."""
-    split = len(lowcode)
-    if size > 2 * split:  # every list is padded to width >= 1
-        return None
-    width = max(np.bincount(col, minlength=size).max() for col in lowcode.T)
-    if size * width > 2 * split:
-        return None
-    inverse = np.full((lowcode.shape[1] * size, width), split, dtype=np.min_scalar_type(split))
-    for j, col in enumerate(lowcode.T):
-        order = np.argsort(col, kind="stable")  # a radix sort on uint8 and uint16
-        codes = col[order]
-        counts = np.bincount(codes, minlength=size)
-        first = np.cumsum(counts) - counts
-        inverse[j * size : (j + 1) * size][codes, np.arange(split) - first[codes]] = order
-    return inverse
+            low = np.empty((split, len(G)), dtype=highcode.dtype)
+        # a block's remainder bases and its low codes hold at most _BLOCK entries each
+        step = max(1, _BLOCK // max((n + 1) * d, split))
+        for i in range(0, len(G), step):
+            bases = remainder_bases(field, G[i : i + step], n)
+            if mark:
+                lowcode = np.empty((split, len(bases)), dtype=highcode.dtype)
+                _codes(field, low_columns, bases[:, :h], lowcode)
+                # a column at a time, so that the scatter's index arrays hold m^h entries
+                for j in range(len(bases)):
+                    low[(i + j) * size + lowcode[:, j].astype(np.int64), column] = rows
+                del lowcode  # not held while the high codes are built
+            else:
+                _codes(field, low_columns, bases[:, :h], low[:, i : i + step])
+            _codes(field, high_columns, bases[:, h:], highcode[:, i : i + step])
+        (marks if mark else compares).append((low, highcode))
+    return split, marks, compares
 
 
 def sieve(tables: tuple, start: int, stop: int) -> np.ndarray:
@@ -372,7 +368,7 @@ def sieve(tables: tuple, start: int, stop: int) -> np.ndarray:
     """
     split, marks, compares = tables
     h0 = start // split
-    # column split takes the padding of the inverses
+    # column split takes the sentinel slots of the inverses
     dead = np.zeros(((stop - 1) // split + 1 - h0, split + 1), dtype=bool)
     for inverse, highcode in marks:
         width, g = inverse.shape[1], highcode.shape[1]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ffdigits import census, polys
+from ffdigits import census, cli, polys
 from ffdigits.census import (
     DEFAULT_BUDGET,
     REPORT_COLUMNS,
@@ -35,9 +35,11 @@ F5 = get_field(5)
 F7 = get_field(7)
 F8 = get_field(2, 3)
 F9 = get_field(3, 2)
+F11 = get_field(11)
 F17 = get_field(17)
 F25 = get_field(5, 2)
 F27 = get_field(3, 3)
+F31 = get_field(31)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +188,19 @@ def test_sieve_table_entries_before_any_list(monkeypatch):
         count_restricted(RestrictedSet(F17, frozenset(range(3, 17))), 12)
 
 
+def test_the_budget_counts_the_inverse_of_a_marked_degree(monkeypatch, capsys):
+    # at q = 3, R = {0}, n = 4 degree 1 is marked: its inverse holds 3 x 3 x 2
+    # slots where its low table held 3 x 4 codes, so the tables hold 54 entries,
+    # and a budget of 50, which admits the 16 candidates, refuses them
+    argv = ["count", "--q", "3", "--forbid", "0", "--n", "4", "--budget"]
+    with monkeypatch.context() as m:
+        _no_lists(m)
+        assert cli.main(argv + ["50"]) == cli.EXIT_BUDGET
+    assert "54 sieve table entries" in capsys.readouterr().err
+    assert cli.main(argv + ["54"]) == 0
+    assert capsys.readouterr().out.strip() == "6"
+
+
 def test_sieve_reaches_the_list_builder(monkeypatch):
     # the guard above would pass vacuously if the census took its lists elsewhere
     _no_lists(monkeypatch)
@@ -281,9 +296,11 @@ def test_digit_by_digit_codes_equal_per_row_products(field, forbidden, n, block,
     for d in range(1, n // 2 + 1):
         G = irreducible_codes(field, d)
         for rows, columns, powers in _table_rows(field, allowed, n):
-            codes = polys._codes(field, columns, G, powers)
+            bases = polys.remainder_bases(field, G, powers.stop - 1)[:, powers.start :]
             expected = _product_codes(field, rows, G, powers)
-            assert codes.dtype == expected.dtype and np.array_equal(codes, expected)
+            codes = np.empty_like(expected)
+            polys._codes(field, columns, bases, codes)
+            assert np.array_equal(codes, expected)
 
 
 @pytest.mark.parametrize(
@@ -311,10 +328,12 @@ def test_codes_sum_in_the_narrowest_type_that_holds_them(p, columns, acc, monkey
     monkeypatch.setattr(polys, "_column", recording_column)
     G = np.arange(p, dtype=np.int64)[:, None]
     rows = _candidate_rows((1, p - 1), columns)
-    codes = polys._codes(field, [(1, p - 1)] * columns, G, range(1, columns + 1))
-    assert set(dtypes) == {np.dtype(acc)}
+    bases = polys.remainder_bases(field, G, columns)[:, 1:]
     expected = _product_codes(field, rows, G, range(1, columns + 1))
-    assert codes.dtype == expected.dtype and np.array_equal(codes, expected)
+    codes = np.empty_like(expected)
+    polys._codes(field, [(1, p - 1)] * columns, bases, codes)
+    assert set(dtypes) == {np.dtype(acc)}
+    assert np.array_equal(codes, expected)
 
 
 def _listed_survivors(field, allowed, n):
@@ -342,34 +361,66 @@ def test_mark_and_compare_stages_match_berlekamp(field, forbidden, n):
 
 @pytest.mark.parametrize(
     "field,forbidden,n",
-    [(F3, (0,), 12), (F4, (0,), 7), (F5, (0,), 8), (F2, (), 12), (F17, (0,), 4), (F9, (6, 8), 4)],
+    [
+        (F3, (0,), 12),
+        (F4, (0,), 7),
+        (F5, (0,), 8),
+        (F2, (), 12),
+        (F17, (0,), 4),
+        (F9, (6, 8), 4),
+        (F31, (0,), 4),
+        (F8, (7,), 6),
+    ],
 )
 def test_a_degree_is_inverted_exactly_when_its_inverse_is_small(field, forbidden, n):
-    # a degree is marked exactly when its padded inverse holds at most twice the
-    # entries of its low table; the inverse lists each code's low rows in order
+    # a degree is marked exactly when its grid of q^d codes by m^(h-d) values of
+    # the low digits past the first d holds at most twice the entries of its low
+    # table; slot (j q^d + lowcode[L, j], L // m^d) holds L, and no two L share one
     allowed = tuple(c for c in field.elements() if c not in forbidden)
     split, marks, compares = polys.sieve_tables(field, n, allowed)
-    h = n - n // 2
+    m, h = len(allowed), n - n // 2
     low = _candidate_rows(allowed, h)
     inverted = [len(inverse) // high.shape[1] for inverse, high in marks]
     for d in range(1, n // 2 + 1):
         size = field.q**d
         lowcode = _product_codes(field, low, irreducible_codes(field, d), range(h))
-        width = max(np.bincount(col, minlength=size).max() for col in lowcode.T)
-        assert (size in inverted) == (size * width <= 2 * split)
+        assert (size in inverted) == (size * m ** (h - d) <= 2 * split)
         if size in inverted:
-            inverse = marks[inverted.index(size)][0]
-            assert inverse.shape == (lowcode.shape[1] * size, width)
-            assert inverse.dtype == np.min_scalar_type(split)
-            for j, col in enumerate(lowcode.T):
-                for c in range(size):
-                    rows = np.flatnonzero(col == c)
-                    listed = inverse[j * size + c]
-                    assert listed[: len(rows)].tolist() == rows.tolist()
-                    assert (listed[len(rows) :] == split).all()
+            inverse, high = marks[inverted.index(size)]
+            assert inverse.shape == (lowcode.shape[1] * size, m ** (h - d))
+            assert inverse.dtype == np.min_scalar_type(split) and high.dtype == lowcode.dtype
+            slot = np.arange(lowcode.shape[1]) * size + lowcode.astype(np.int64)
+            column = np.broadcast_to((np.arange(split) // m**d)[:, None], slot.shape)
+            assert len(np.unique(slot * inverse.shape[1] + column)) == slot.size
+            expected = np.full(inverse.shape, split)
+            expected[slot, column] = np.arange(split)[:, None]
+            assert np.array_equal(inverse, expected)
         else:
-            assert any(np.array_equal(lowcode, table) for table, _ in compares)
+            assert any(
+                table.dtype == high.dtype == lowcode.dtype and np.array_equal(lowcode, table)
+                for table, high in compares
+            )
     assert len(marks) + len(compares) == n // 2
+
+
+def test_a_marked_degree_never_holds_its_low_table_whole():
+    # at q = 11, R = {0}, n = 7 degree 3 is marked, and its low table would be
+    # 10^4 x 440 uint16 (8.8 MB) against a high table of 0.9 MB; the build
+    # scatters the low codes into the inverse a block at a time, so beyond the
+    # tables it keeps it holds a few blocks of 2^16 int64 entries
+    allowed = tuple(range(1, 11))
+    for d in range(1, 4):
+        irreducible_codes(F11, d)
+    tracemalloc.start()
+    try:
+        split, marks, compares = polys.sieve_tables(F11, 7, allowed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(inverse) // high.shape[1] for inverse, high in marks] == [11, 11**2, 11**3]
+    low_table = split * prime_count(11, 3) * np.dtype(np.uint16).itemsize
+    table_bytes = sum(table.nbytes for stage in marks + compares for table in stage)
+    assert peak - table_bytes < 4 * (1 << 16) * 8 < low_table
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -1,5 +1,5 @@
 """Wall time and peak RSS of `ffdigits count` at census shapes larger than
-the benchmark's, each in a fresh interpreter: four with one worker, and
+the benchmark's, each in a fresh interpreter: five with one worker, and
 q=17 R={0} n=6 again with two, which measures what the census threads gain.
 
     python3 tools/census_scale.py
@@ -23,13 +23,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # (label, workers, count arguments); q=3 n=22 needs twice the default budget,
-# and q=2 R={} n=24 marks every degree through inverted tables of 4096 low rows
+# q=2 R={} n=24 marks every degree through inverted tables of 4096 low rows, and
+# q=31 R={0} n=5 is a shape where the circle method's error budget is below 1
+# (q >= 29), near the default budget's limit, and marked at both degrees
 SHAPES = [
     ("q=17 R={0} n=6", 1, ["--q", "17", "--forbid", "0", "--n", "6"]),
     ("q=17 R={0} n=6", 2, ["--q", "17", "--forbid", "0", "--n", "6"]),
     ("q=3 R={0} n=20", 1, ["--q", "3", "--forbid", "0", "--n", "20"]),
     ("q=3 R={0} n=22 budget 2e8", 1, ["--q", "3", "--forbid", "0", "--n", "22", "--budget", "200000000"]),
     ("q=2 R={} n=24", 1, ["--q", "2", "--n", "24"]),
+    ("q=31 R={0} n=5", 1, ["--q", "31", "--forbid", "0", "--n", "5"]),
 ]
 
 
