@@ -6,12 +6,12 @@ from importlib import import_module
 # each submodule's public names; it is imported on first use (PEP 562), so a census skips checks
 _EXPORTS = {
     "census": ("CensusReport", "count_restricted", "scan"),
-    "charsum": ("RestrictedSet",),
     "checks": ("CheckResult", "run_check"),
     "circle": ("PredictorParams", "main_term", "orthogonality_count", "predictor"),
-    "field": ("FieldSpec", "get_field"),
+    "field": ("FieldSpec", "RestrictedSet", "get_field"),
     "laurent": ("RationalPoint", "frac_digits"),
-    "polys": ("Poly", "euler_phi", "is_irreducible", "mobius", "prime_count"),
+    "polys": ("Poly", "euler_phi", "is_irreducible", "mobius"),
+    "sieve": ("prime_count",),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_SOURCE)

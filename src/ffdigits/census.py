@@ -2,7 +2,7 @@
 
 The engine enumerates coefficient vectors in fixed-size chunks and removes
 every candidate with an irreducible factor of degree at most n/2 with the
-remainder-code sieve of `polys`.  It splits a candidate into a low half and a
+remainder-code sieve of `sieve`.  It splits a candidate into a low half and a
 high half, f = low + t^h high + t^n, and tabulates once per count the
 remainder of every low half and of minus every high half modulo each such
 irreducible g, packed into one integer code; g divides f exactly when the two
@@ -17,20 +17,20 @@ caller runs stripe 0, and w - 1 threads run the others over the same
 read-only tables, as numpy releases the GIL in the sieve's gathers and
 compares.  Stripe counts are plain integers, so the result is identical for
 any worker count.
+
+A count loads only `field`, `sieve` and this module: the reports import the
+predictor (`circle`) and their writers `csv` and `json` when they run.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charsum import RestrictedSet
-from .circle import PredictorParams, error_budget, predictor
-from .polys import _CHUNK, marks_degree, prime_count, sieve, sieve_tables
+from .field import RestrictedSet
+from .sieve import _CHUNK, marks_degree, prime_count, sieve, sieve_tables
 
 DEFAULT_BUDGET = 10**8
 # Candidate indices and remainder codes are computed in int64, so both stay
@@ -52,18 +52,20 @@ def count_restricted(
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     field = R.spec
-    total = (field.q - R.s) ** n
+    m = field.q - R.s
+    # exact unless m >= 2 and n passes the budget's bit length, where it passes the budget
+    total = m ** min(n, budget.bit_length() + 1)
     if total > budget:
         raise BudgetError(
-            f"{total} candidate polynomials exceed the budget of {budget}"
+            f"{m}^{n} candidate polynomials exceed the budget of {budget}"
         )
     if total >= _INT64_LIMIT:
         raise BudgetError(
-            f"{total} candidate polynomials exceed the int64 decode limit of 2^63"
+            f"{m}^{n} candidate polynomials exceed the int64 decode limit of 2^63"
         )
     if n == 0:
         return 0
-    _check_sieve_budget(field.q, field.q - R.s, n, budget)
+    _check_sieve_budget(field.q, m, n, budget)
     tables = sieve_tables(field, n, tuple(c for c in field.elements() if c not in R.forbidden))
     starts = range(0, total, _CHUNK)
     stripes = max(1, min(workers, len(starts)))  # workers < 1 runs serially
@@ -158,6 +160,8 @@ REPORT_COLUMNS = [
 def census_report(
     R: RestrictedSet, n: int, workers: int = 1, budget: int = DEFAULT_BUDGET
 ) -> CensusReport:
+    from .circle import PredictorParams, error_budget, predictor  # not loaded by a count
+
     params = PredictorParams.from_restricted(R, n)
     start = time.perf_counter()
     exact = None
@@ -201,6 +205,8 @@ def scan(
 
 def write_csv(reports, fh):
     """Write the reports as CSV to a text file opened with newline=""."""
+    import csv
+
     writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
     writer.writeheader()
     for rep in reports:
@@ -208,6 +214,8 @@ def write_csv(reports, fh):
 
 
 def report_json_line(report: CensusReport) -> str:
+    import json
+
     return json.dumps(report.row(), sort_keys=True)
 
 

@@ -6,13 +6,11 @@ used by the verification battery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .field import FieldSpec, digits, madd, undigits
+from .field import FieldSpec, RestrictedSet, digits, madd, undigits
 from .laurent import RationalPoint, e_q_of, frac_digits
 from .polys import enumerate_monic, irreducible_rows
 
@@ -20,70 +18,6 @@ from .polys import enumerate_monic, irreducible_rows
 # check, (q, n) = (17, 4), (3, 12), (2, 20) and lemma1 at q = 9, n = 5; the
 # transform's temporaries then hold about three tables, ~50 MB at the bound.
 _COUNTS_LIMIT = 1 << 21
-
-
-def local_factor(q: int, s: int, zero_in_R: bool) -> Fraction:
-    """Lambda, the local correction at t: 1 when 0 is forbidden, else 1 - 1/(q - s)."""
-    if zero_in_R:
-        return Fraction(1)
-    return 1 - Fraction(1, q - s)
-
-
-@dataclass(frozen=True)
-class RestrictedSet:
-    """A forbidden coefficient set R inside F_q."""
-
-    spec: FieldSpec
-    forbidden: frozenset = dc_field(default_factory=frozenset)
-
-    def __post_init__(self):
-        bad = [c for c in self.forbidden if not 0 <= c < self.spec.q]
-        if bad:
-            raise ValueError(f"forbidden codes out of range: {bad}")
-        if len(self.forbidden) >= self.spec.q:
-            raise ValueError("the allowed coefficient set must be nonempty")
-
-    @classmethod
-    def of(cls, spec: FieldSpec, *codes) -> "RestrictedSet":
-        return cls(spec, frozenset(codes))
-
-    @classmethod
-    def parse(cls, spec: FieldSpec, text: str) -> "RestrictedSet":
-        text = text.strip()
-        if not text:
-            return cls(spec, frozenset())
-        return cls(spec, frozenset(spec.parse_element(tok) for tok in text.split(",")))
-
-    @property
-    def s(self) -> int:
-        return len(self.forbidden)
-
-    @property
-    def complement(self) -> tuple:
-        return tuple(c for c in self.spec.elements() if c not in self.forbidden)
-
-    @property
-    def zero_in_R(self) -> bool:
-        return 0 in self.forbidden
-
-    @property
-    def lam(self) -> Fraction:
-        return local_factor(self.spec.q, self.s, self.zero_in_R)
-
-    @property
-    def is_consecutive(self) -> bool:
-        """True for a nonempty cyclic run r, r+1, ..., r+s-1 in a prime field."""
-        if self.spec.k != 1 or not self.forbidden:
-            return False
-        p = self.spec.q
-        if self.s == p - 1:
-            return True
-        members = self.forbidden
-        starts = [c for c in members if (c - 1) % p not in members]
-        return len(starts) == 1
-
-    def format(self) -> str:
-        return ",".join(self.spec.format_element(c) for c in sorted(self.forbidden))
 
 
 # ---------------------------------------------------------------------------

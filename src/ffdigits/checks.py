@@ -14,7 +14,6 @@ import numpy as np
 
 from .census import count_restricted
 from .charsum import (
-    RestrictedSet,
     abs_s_r,
     cauchy_schwarz_bound,
     consecutive_l1_bound,
@@ -32,9 +31,10 @@ from .circle import (
     lemma5_ratio,
     orthogonality_count,
 )
-from .field import get_field, prime_power
+from .field import RestrictedSet, get_field, prime_power
 from .laurent import RationalPoint
-from .polys import Poly, monic_of_code, prime_count
+from .polys import Poly, monic_of_code
+from .sieve import prime_count
 
 MAX_WITNESSES = 10
 # Most forbidden sets that a check enumerates over one field, and most points

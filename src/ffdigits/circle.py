@@ -12,18 +12,11 @@ from functools import reduce
 
 import numpy as np
 
-from .charsum import RestrictedSet, irreducible_counts, local_factor, residue_counts, s_at_window
-from .field import FieldSpec, add, digits, matmul, undigits
+from .charsum import irreducible_counts, residue_counts, s_at_window
+from .field import FieldSpec, RestrictedSet, add, digits, local_factor, matmul, undigits
 from .laurent import RationalPoint
-from .polys import (
-    Poly,
-    enumerate_monic,
-    mobius_phi,
-    monic_of_code,
-    poly_gcd,
-    prime_count,
-    remainder_bases,
-)
+from .polys import Poly, enumerate_monic, mobius_phi, monic_of_code, poly_gcd
+from .sieve import prime_count, remainder_bases
 
 
 class NumericalError(RuntimeError):

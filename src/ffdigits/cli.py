@@ -2,20 +2,20 @@
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error, 3 the
 orthogonality sums broke their symmetry or divisibility, 4 budget exceeded or out of memory.
+
+Each command imports what it runs: `count` loads `field`, `sieve` and `census`
+alone; `scan` and `predict` add the predictor (`circle` and what it imports),
+and `verify` the checks.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
-import json
 import sys
 from contextlib import ExitStack
 
 from .census import BudgetError, DEFAULT_BUDGET, count_restricted, scan, write_csv, write_json
-from .charsum import RestrictedSet
-from .circle import NumericalError, PredictorParams, predictor
-from .field import FieldError, FieldSpec, get_field, prime_power
+from .field import FieldError, FieldSpec, RestrictedSet, get_field, prime_power
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -116,6 +116,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .circle import PredictorParams, predictor
+
     R = _restricted_from_args(args)
     params = PredictorParams.from_restricted(R, args.n)
     if params.flagged:
@@ -163,8 +165,8 @@ def _verify_flags(args) -> dict:
     return {flag: choices for flag, (given, choices) in flags.items() if given}
 
 
-def _check_params(flags: dict, fn) -> dict:
-    accepted = inspect.signature(fn).parameters
+def _check_params(flags: dict, accepted) -> dict:
+    """The check parameters that the given flags set, of those in `accepted`."""
     params = {}
     for choices in flags.values():
         for name, value in choices:
@@ -175,7 +177,13 @@ def _check_params(flags: dict, fn) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    from .checks import CHECKS, run_check  # here, so that a census does not compile the checks
+    # here, so that a census does not compile the checks
+    import inspect
+    import json
+
+    from .checks import CHECKS, run_check
+    from .circle import NumericalError
+
     ids = list(CHECKS) if args.check == "all" else [args.check]
     unknown = [c for c in ids if c not in CHECKS]
     if unknown:
@@ -192,7 +200,12 @@ def _cmd_verify(args) -> int:
         json_fh = _open_output(stack, args.json)
         print(f"{'check':<16} {'cases':>8} {'result':>8} {'elapsed_s':>10}")
         for check_id in ids:
-            result = run_check(check_id, **_check_params(flags, CHECKS[check_id]))
+            params = _check_params(flags, inspect.signature(CHECKS[check_id]).parameters)
+            try:
+                result = run_check(check_id, **params)
+            except NumericalError as exc:
+                print(f"numerical failure: {exc}", file=sys.stderr)
+                return EXIT_NUMERICAL
             results.append(result)
             verdict = "pass" if result.passed else "FAIL"
             print(f"{check_id:<16} {result.cases:>8} {verdict:>8} {result.elapsed:>10.2f}")
@@ -219,9 +232,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

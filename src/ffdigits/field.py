@@ -1,4 +1,5 @@
-"""Arithmetic in the finite field F_q (q = p^k), its trace map and additive character.
+"""Arithmetic in the finite field F_q (q = p^k), its trace map and additive
+character, and the forbidden coefficient sets R inside F_q with their local factor.
 
 Elements are stored as integer codes in [0, q): an element with polynomial-basis
 coordinates (c_0, ..., c_{k-1}) relative to the defining modulus has code
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -143,10 +146,10 @@ class FieldSpec:
         else:
             if self.q > _TABLE_LIMIT:
                 raise FieldError(f"extension field of size {self.q} unsupported")
-            from .polys import irreducible_rows  # polys imports this module
+            from .sieve import irreducible_codes  # sieve imports this module
 
             # the monic irreducibles of degree k over F_p, by increasing code
-            listed = irreducible_rows(get_field(p), k)
+            listed = irreducible_codes(get_field(p), k)
             if modulus is None:
                 # the smallest by code, constant term least significant
                 modulus = tuple(listed[0].tolist()) + (1,)
@@ -286,10 +289,12 @@ class FieldSpec:
             up = np.zeros_like(last)
             up[:, 1:] = last[:, :-1]
             shifted.append((up - last[:, -1:] * np.array(self.modulus[:k])) % p)
-        X = np.stack(shifted)
+        X = np.stack(shifted).astype(np.float64)
         # a * b = sum_i b_i (t^i * a), one coordinate j at a time: a (q, q, k)
-        # array of coordinates would hold k times the table
-        return sum(p**j * ((C @ X[:, :, j]) % p) for j in range(k))
+        # array of coordinates would hold k times the table.  Each sum is at most
+        # k (p - 1)^2, so float64 products, which numpy runs with BLAS, are exact
+        C = C.astype(np.float64)
+        return sum(p**j * ((C @ X[:, :, j]).astype(np.int64) % p) for j in range(k))
 
     @cached_property
     def add_table(self) -> np.ndarray:
@@ -333,3 +338,70 @@ class FieldSpec:
 def get_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     """Interned FieldSpec constructor, so a field's tables and modulus are built once."""
     return FieldSpec(p, k, modulus)
+
+
+# ---------------------------------------------------------------------------
+# the forbidden set R and its local factor
+
+def local_factor(q: int, s: int, zero_in_R: bool) -> Fraction:
+    """Lambda, the local correction at t: 1 when 0 is forbidden, else 1 - 1/(q - s)."""
+    if zero_in_R:
+        return Fraction(1)
+    return 1 - Fraction(1, q - s)
+
+
+@dataclass(frozen=True)
+class RestrictedSet:
+    """A forbidden coefficient set R inside F_q."""
+
+    spec: FieldSpec
+    forbidden: frozenset = dc_field(default_factory=frozenset)
+
+    def __post_init__(self):
+        bad = [c for c in self.forbidden if not 0 <= c < self.spec.q]
+        if bad:
+            raise ValueError(f"forbidden codes out of range: {bad}")
+        if len(self.forbidden) >= self.spec.q:
+            raise ValueError("the allowed coefficient set must be nonempty")
+
+    @classmethod
+    def of(cls, spec: FieldSpec, *codes) -> "RestrictedSet":
+        return cls(spec, frozenset(codes))
+
+    @classmethod
+    def parse(cls, spec: FieldSpec, text: str) -> "RestrictedSet":
+        text = text.strip()
+        if not text:
+            return cls(spec, frozenset())
+        return cls(spec, frozenset(spec.parse_element(tok) for tok in text.split(",")))
+
+    @property
+    def s(self) -> int:
+        return len(self.forbidden)
+
+    @property
+    def complement(self) -> tuple:
+        return tuple(c for c in self.spec.elements() if c not in self.forbidden)
+
+    @property
+    def zero_in_R(self) -> bool:
+        return 0 in self.forbidden
+
+    @property
+    def lam(self) -> Fraction:
+        return local_factor(self.spec.q, self.s, self.zero_in_R)
+
+    @property
+    def is_consecutive(self) -> bool:
+        """True for a nonempty cyclic run r, r+1, ..., r+s-1 in a prime field."""
+        if self.spec.k != 1 or not self.forbidden:
+            return False
+        p = self.spec.q
+        if self.s == p - 1:
+            return True
+        members = self.forbidden
+        starts = [c for c in members if (c - 1) % p not in members]
+        return len(starts) == 1
+
+    def format(self) -> str:
+        return ",".join(self.spec.format_element(c) for c in sorted(self.forbidden))

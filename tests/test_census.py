@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ffdigits import census, cli, polys
+from ffdigits import census, cli, polys, sieve
 from ffdigits.census import (
     DEFAULT_BUDGET,
     REPORT_COLUMNS,
@@ -26,7 +26,8 @@ from ffdigits.census import (
 )
 from ffdigits.charsum import RestrictedSet
 from ffdigits.field import digits, get_field, matmul, negate, undigits
-from ffdigits.polys import enumerate_monic, irreducible_codes, is_irreducible, prime_count
+from ffdigits.polys import enumerate_monic, is_irreducible
+from ffdigits.sieve import irreducible_codes, prime_count
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -169,7 +170,7 @@ def _no_lists(monkeypatch):
     def no_lists(*args):
         raise AssertionError("irreducible list built")
 
-    monkeypatch.setattr(polys, "irreducible_codes", no_lists)
+    monkeypatch.setattr(sieve, "irreducible_codes", no_lists)
     monkeypatch.setattr(polys, "irreducible_polys", no_lists)
 
 
@@ -230,17 +231,17 @@ def test_block_size_leaves_the_sieve_unchanged(field, forbidden, n, block, monke
     allowed = tuple(c for c in field.elements() if c not in forbidden)
     total = len(allowed) ** n
     R = RestrictedSet(field, frozenset(forbidden))
-    tables = polys.sieve_tables(field, n, allowed)
-    survivors = polys.sieve(tables, 0, total)
+    tables = sieve.sieve_tables(field, n, allowed)
+    survivors = sieve.sieve(tables, 0, total)
     count = count_restricted(R, n)
-    monkeypatch.setattr(polys, "_BLOCK", block)
-    blocked = polys.sieve_tables(field, n, allowed)
+    monkeypatch.setattr(sieve, "_BLOCK", block)
+    blocked = sieve.sieve_tables(field, n, allowed)
     assert blocked[0] == tables[0]
     for stages, stages_b in zip(tables[1:], blocked[1:], strict=True):
         for stage, stage_b in zip(stages, stages_b, strict=True):
             for a, b in zip(stage, stage_b, strict=True):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert np.array_equal(polys.sieve(blocked, 0, total), survivors)
+    assert np.array_equal(sieve.sieve(blocked, 0, total), survivors)
     assert count_restricted(R, n) == count
 
 
@@ -250,11 +251,11 @@ def _candidate_rows(allowed, n):
 
 
 def _product_codes(field, A, G, powers):
-    """The per-row reference for `polys._codes`: the codes of the remainders mod
+    """The per-row reference for `sieve._codes`: the codes of the remainders mod
     every g of G of the polynomials sum_k A[:, k] t^powers[k], each row of A
     times the remainder bases in one product over F_q."""
     d = G.shape[1]
-    basis = polys.remainder_bases(field, G, powers.stop - 1)[:, powers.start :]
+    basis = sieve.remainder_bases(field, G, powers.stop - 1)[:, powers.start :]
     rem = matmul(field, A, basis.transpose(1, 0, 2).reshape(len(powers), -1))
     codes = undigits(rem.reshape(len(A), -1, d), field.q)
     return codes.astype(np.min_scalar_type(field.q**d - 1))
@@ -292,14 +293,14 @@ def test_digit_by_digit_codes_equal_per_row_products(field, forbidden, n, block,
     # tables, equals one product per row; 50 entries per block leave most
     # columns to the offset rows.  At q = 181 the census's own tables sum in int32.
     allowed = tuple(c for c in field.elements() if c not in forbidden)
-    monkeypatch.setattr(polys, "_BLOCK", block)
+    monkeypatch.setattr(sieve, "_BLOCK", block)
     for d in range(1, n // 2 + 1):
         G = irreducible_codes(field, d)
         for rows, columns, powers in _table_rows(field, allowed, n):
-            bases = polys.remainder_bases(field, G, powers.stop - 1)[:, powers.start :]
+            bases = sieve.remainder_bases(field, G, powers.stop - 1)[:, powers.start :]
             expected = _product_codes(field, rows, G, powers)
             codes = np.empty_like(expected)
-            polys._codes(field, columns, bases, codes)
+            sieve._codes(field, columns, bases, codes)
             assert np.array_equal(codes, expected)
 
 
@@ -318,20 +319,20 @@ def test_codes_sum_in_the_narrowest_type_that_holds_them(p, columns, acc, monkey
     # 170 and 121 of t and t^2 mod t - 170 sum past 2^15, and 46348^2 > 2^31
     field = get_field(p)
     dtypes = []
-    column = polys._column
+    column = sieve._column
 
     def recording_column(field, V, vals, r):
         V = column(field, V, vals, r)
         dtypes.append(V.dtype)
         return V
 
-    monkeypatch.setattr(polys, "_column", recording_column)
+    monkeypatch.setattr(sieve, "_column", recording_column)
     G = np.arange(p, dtype=np.int64)[:, None]
     rows = _candidate_rows((1, p - 1), columns)
-    bases = polys.remainder_bases(field, G, columns)[:, 1:]
+    bases = sieve.remainder_bases(field, G, columns)[:, 1:]
     expected = _product_codes(field, rows, G, range(1, columns + 1))
     codes = np.empty_like(expected)
-    polys._codes(field, [(1, p - 1)] * columns, bases, codes)
+    sieve._codes(field, [(1, p - 1)] * columns, bases, codes)
     assert set(dtypes) == {np.dtype(acc)}
     assert np.array_equal(codes, expected)
 
@@ -351,11 +352,11 @@ def test_mark_and_compare_stages_match_berlekamp(field, forbidden, n):
     # shapes where low degrees are marked through inverted tables and higher
     # ones compared; F_5 marks a degree at ratio 1.95, just under the rule's 2
     allowed = tuple(c for c in field.elements() if c not in forbidden)
-    tables = polys.sieve_tables(field, n, allowed)
+    tables = sieve.sieve_tables(field, n, allowed)
     _, marks, compares = tables
     assert marks and compares
     expected = _listed_survivors(field, allowed, n)
-    assert np.array_equal(polys.sieve(tables, 0, len(allowed) ** n), expected)
+    assert np.array_equal(sieve.sieve(tables, 0, len(allowed) ** n), expected)
     assert count_restricted(RestrictedSet(field, frozenset(forbidden)), n) == len(expected)
 
 
@@ -377,7 +378,7 @@ def test_a_degree_is_inverted_exactly_when_its_inverse_is_small(field, forbidden
     # the low digits past the first d holds at most twice the entries of its low
     # table; slot (j q^d + lowcode[L, j], L // m^d) holds L, and no two L share one
     allowed = tuple(c for c in field.elements() if c not in forbidden)
-    split, marks, compares = polys.sieve_tables(field, n, allowed)
+    split, marks, compares = sieve.sieve_tables(field, n, allowed)
     m, h = len(allowed), n - n // 2
     low = _candidate_rows(allowed, h)
     inverted = [len(inverse) // high.shape[1] for inverse, high in marks]
@@ -413,7 +414,7 @@ def test_a_marked_degree_never_holds_its_low_table_whole():
         irreducible_codes(F11, d)
     tracemalloc.start()
     try:
-        split, marks, compares = polys.sieve_tables(F11, 7, allowed)
+        split, marks, compares = sieve.sieve_tables(F11, 7, allowed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -432,10 +433,10 @@ def test_chunks_that_cut_high_rows(n, monkeypatch):
     R = RestrictedSet.of(F4, 0)
     expected = _listed_survivors(F4, allowed, n)
     monkeypatch.setattr(census, "_CHUNK", 37)
-    monkeypatch.setattr(polys, "_BLOCK", 29)
-    tables = polys.sieve_tables(F4, n, allowed)
+    monkeypatch.setattr(sieve, "_BLOCK", 29)
+    tables = sieve.sieve_tables(F4, n, allowed)
     assert tables[0] == 3 ** (n - n // 2)
-    found = [polys.sieve(tables, lo, min(lo + 37, 3**n)) for lo in range(0, 3**n, 37)]
+    found = [sieve.sieve(tables, lo, min(lo + 37, 3**n)) for lo in range(0, 3**n, 37)]
     assert np.array_equal(np.concatenate(found), expected)
     counts = [count_restricted(R, n, workers=w) for w in (1, 2, 3)]
     assert counts == [len(expected)] * 3
@@ -454,7 +455,7 @@ def test_census_working_set_is_its_tables_and_a_few_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    _, marks, compares = polys.sieve_tables(F17, 5, tuple(range(1, 17)))
+    _, marks, compares = sieve.sieve_tables(F17, 5, tuple(range(1, 17)))
     table_bytes = sum(table.nbytes for stage in marks + compares for table in stage)
     assert peak - table_bytes < 4 * (1 << 16) * 8
 

@@ -24,7 +24,8 @@ from ffdigits.charsum import (
 from ffdigits.circle import farey_enumerate
 from ffdigits.field import digits, get_field, prime_power
 from ffdigits.laurent import RationalPoint, e_q_of, frac_digits
-from ffdigits.polys import Poly, enumerate_monic, is_irreducible, poly_gcd, prime_count
+from ffdigits.polys import Poly, enumerate_monic, is_irreducible, poly_gcd
+from ffdigits.sieve import prime_count
 
 F2 = get_field(2)
 F3 = get_field(3)

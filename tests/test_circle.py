@@ -23,7 +23,8 @@ from ffdigits.circle import (
 )
 from ffdigits.field import FieldSpec, digits, get_field, prime_power
 from ffdigits.laurent import RationalPoint, e_q_of, frac_digits
-from ffdigits.polys import Poly, enumerate_monic, euler_phi, mobius, prime_count
+from ffdigits.polys import Poly, enumerate_monic, euler_phi, mobius
+from ffdigits.sieve import prime_count
 
 F2 = get_field(2)
 F3 = get_field(3)

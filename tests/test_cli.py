@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ffdigits import census, charsum, checks, cli, polys
+from ffdigits import census, charsum, checks, cli, polys, sieve
 from ffdigits.census import count_restricted
 from ffdigits.charsum import RestrictedSet
 from ffdigits.circle import PredictorParams
@@ -41,16 +41,21 @@ def test_count_extension_field(capsys):
 
 
 def _spy_on_lists(monkeypatch) -> list:
-    """Record (q, d) for every call of S's list builder, with its cache and the
-    interned fields cleared; Rabin's test is banned."""
+    """Record (q, d) for every call of the sieve's list builder over a prime
+    field, which gives the moduli, with its cache and the interned fields
+    cleared; Rabin's test is banned."""
     calls = []
     monkeypatch.setattr(polys, "is_irreducible", None)
-    rows = polys.irreducible_rows
-    monkeypatch.setattr(
-        polys, "irreducible_rows", lambda F, d: calls.append((F.q, d)) or rows(F, d)
-    )
+    codes = sieve.irreducible_codes
+
+    def spy(F, d):
+        if F.k == 1:  # the census's own lists are over the extension field
+            calls.append((F.q, d))
+        return codes(F, d)
+
+    monkeypatch.setattr(sieve, "irreducible_codes", spy)
     get_field.cache_clear()
-    rows.cache_clear()
+    codes.cache_clear()
     return calls
 
 
@@ -74,7 +79,7 @@ def test_count_tests_an_explicit_modulus_once(capsys, monkeypatch, workers):
         capsys, "count", "--q", "9", "--n", "6", "--ext-modulus", "2,2,1", "--workers", workers
     )
     assert code == EXIT_OK
-    assert out.strip() == str(polys.prime_count(9, 6))
+    assert out.strip() == str(sieve.prime_count(9, 6))
     assert calls == [(3, 2), (3, 1)]
     assert get_field(3, 2, (2, 2, 1)).modulus == (2, 2, 1)
 
@@ -196,7 +201,8 @@ def test_verify_refuses_farey_windows_past_their_bound(capsys, monkeypatch, argv
 
     for module in (polys, charsum):
         monkeypatch.setattr(module, "irreducible_rows", banned)
-    monkeypatch.setattr(polys, "irreducible_codes", banned)
+    for module in (polys, sieve):
+        monkeypatch.setattr(module, "irreducible_codes", banned)
     code, out, err = run(capsys, "verify", *argv)
     assert code == EXIT_USAGE
     assert "Farey windows" in err and "exceed their bound" in err
@@ -253,9 +259,8 @@ def test_verify_all_matches_the_golden(capsys, tmp_path):
     assert records == [json.loads(line) for line in golden.read_text().splitlines()]
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # the census imports its pool only when it runs one
-    code = "import sys, ffdigits.cli; print('concurrent.futures' in sys.modules)"
+def _fresh_stdout(code: str) -> str:
+    """The output of `code` run by a fresh interpreter that imports the package from src."""
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
@@ -263,7 +268,23 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         text=True,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def _fresh_run(argv: list) -> str:
+    """A fresh interpreter's output of `argv` through the CLI, then its loaded package modules."""
+    return _fresh_stdout(
+        "import sys\n"
+        "from ffdigits import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'ffdigits')))"
+    )
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the census imports its pool only when it runs one
+    code = "import sys, ffdigits.cli; print('concurrent.futures' in sys.modules)"
+    assert _fresh_stdout(code).strip() == "False"
 
 
 def test_count_leaves_the_checks_uncompiled():
@@ -275,14 +296,18 @@ def test_count_leaves_the_checks_uncompiled():
         "assert cli.main(['count', '--q', '3', '--forbid', '1', '--n', '8']) == 0\n"
         "print('ffdigits.checks' in sys.modules)"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert proc.stdout.split() == ["22", "False"]
+    assert _fresh_stdout(code).split() == ["22", "False"]
+    # over a prime field and over an extension field, whose modulus comes from
+    # the sieve's own list, a count loads the census and nothing it does not run
+    loaded = "ffdigits,ffdigits.census,ffdigits.cli,ffdigits.field,ffdigits.sieve"
+    for argv, count in [
+        (["count", "--q", "17", "--forbid", "0", "--n", "5"], "222560"),
+        (["count", "--q", "9", "--forbid", "0", "--n", "5"], "7408"),
+    ]:
+        assert _fresh_run(argv).split() == [count, loaded]
+    # a scan adds its report's predictor, never the checks
+    scan_loaded = _fresh_run(["scan", "--q", "3", "--forbid", "1", "--n", "2:4"]).split()[-1]
+    assert "ffdigits.checks" not in scan_loaded.split(",")
 
 
 def test_package_names_resolve_lazily():
@@ -324,6 +349,21 @@ def test_budget_exit(capsys):
     )
     assert code == EXIT_BUDGET
     assert "budget exceeded" in err
+
+
+def test_a_huge_candidate_count_exits_on_the_budget(capsys):
+    # 3^10000 has 4772 digits, past what Python converts to a string, and
+    # 2^(10^8) would take about a second to form: the refusal names the power
+    for q, n in (("3", "10000"), ("2", "100000000")):
+        code, out, err = run(capsys, "count", "--q", q, "--n", n)
+        assert code == EXIT_BUDGET and out == ""
+        assert f"{q}^{n} candidate polynomials exceed the budget of 100000000" in err
+    # a scan keeps its other rows and reports the refused degree in its own row
+    code, out, _ = run(capsys, "scan", "--q", "3", "--n", "8,10000")
+    assert code == EXIT_OK
+    rows = out.splitlines()[1:]
+    assert rows[0].split()[:2] == ["8", str(sieve.prime_count(3, 8))]
+    assert rows[1] == "10000 error: 3^10000 candidate polynomials exceed the budget of 100000000"
 
 
 @pytest.mark.parametrize("value", ["-2", "0"])

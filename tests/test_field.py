@@ -229,6 +229,23 @@ def test_op_tables_match_polynomial_arithmetic(q):
     assert field.trace_table.tolist() == trace
 
 
+@pytest.mark.parametrize("q", [256, 243])
+def test_mul_table_equals_the_int64_product(q):
+    # the table's float64 products are exact: no sum passes k (p - 1)^2
+    field = FieldSpec.from_q(q)  # not interned: the table is built here
+    p, k = field.p, field.k
+    C = digits(np.arange(q, dtype=np.int64), p, k)
+    # the coefficients of a(t) b(t) in int64, then reduced mod the modulus from the top
+    prod = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        prod[:, :, i : i + k] += C[:, None, i, None] * C[None, :, :]
+    for top in range(2 * k - 2, k - 1, -1):
+        prod[:, :, top - k : top] -= prod[:, :, top, None] * np.array(field.modulus[:k])
+        prod %= p
+    assert field.mul_table.dtype == np.int64
+    assert np.array_equal(field.mul_table, undigits(prod[:, :, :k], p))
+
+
 def _scalar_matmul(field, A, B):
     out = [[0] * B.shape[1] for _ in range(len(A))]
     for i in range(len(A)):

@@ -5,23 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffdigits import polys
-from ffdigits.field import digits, get_field, matmul
+from ffdigits import polys, sieve
+from ffdigits.field import digits, get_field, is_prime, matmul
 from ffdigits.polys import (
     Poly,
     enumerate_monic,
     euler_phi,
-    int_mobius,
-    irreducible_codes,
     irreducible_polys,
     irreducible_rows,
     is_irreducible,
     mobius,
     poly_gcd,
     pow_mod,
-    prime_count,
-    remainder_bases,
 )
+from ffdigits.sieve import int_mobius, irreducible_codes, prime_count, remainder_bases
 
 F2 = get_field(2)
 F3 = get_field(3)
@@ -152,6 +149,15 @@ def test_sieve_lists_and_bases_match_rabin(field, d_max, monkeypatch):
                 assert row.tolist() == [r[i] for i in range(d)]
 
 
+def test_every_extension_modulus_comes_from_equal_lists():
+    # FieldSpec takes its moduli from the sieve's lists: over every p^k <= 4096
+    # with k >= 2 they hold the product sieve's rows in the same order
+    pairs = [(p, k) for p in range(2, 65) if is_prime(p) for k in range(2, 13) if p**k <= 4096]
+    assert len(pairs) == 40
+    for p, k in pairs:
+        assert np.array_equal(irreducible_codes(get_field(p), k), irreducible_rows(get_field(p), k))
+
+
 @pytest.fixture
 def fresh_product_lists():
     """Every product-sieve list, and mu and phi, is built inside the test and
@@ -171,9 +177,9 @@ def test_product_sieve_rows_match_rabin_and_sieve(field, d_max, monkeypatch, fre
         raise AssertionError("the product sieve ran the remainder sieve, Rabin's test or Poly")
 
     with monkeypatch.context() as m:
-        for name in (
-            "irreducible_codes", "sieve_tables", "sieve", "remainder_bases", "is_irreducible", "Poly"
-        ):
+        for name in ("irreducible_codes", "sieve_tables", "sieve", "remainder_bases"):
+            m.setattr(sieve, name, banned)
+        for name in ("irreducible_codes", "is_irreducible", "Poly"):
             m.setattr(polys, name, banned)
         for op in ("__add__", "__sub__", "__mul__", "__divmod__", "__mod__"):
             m.setattr(Poly, op, banned)
@@ -231,9 +237,9 @@ def test_sieve_tables_build_bases_in_blocks(monkeypatch):
     # which no budget counts, so they are built a block of irreducibles at a
     # time, and each column step of `_codes` holds a block: at d = 8 the 2^8
     # low rows take 2048 entries per g, so their last columns come as offsets
-    whole = polys.sieve_tables(F3, 16, (0, 2))
+    whole = sieve.sieve_tables(F3, 16, (0, 2))
     built, steps = [], []
-    column = polys._column
+    column = sieve._column
 
     def recording(field, G, n):
         built.append(G.size * (n + 1))
@@ -244,10 +250,10 @@ def test_sieve_tables_build_bases_in_blocks(monkeypatch):
         steps.append(V.size)
         return V
 
-    monkeypatch.setattr(polys, "_BLOCK", 1000)
-    monkeypatch.setattr(polys, "remainder_bases", recording)
-    monkeypatch.setattr(polys, "_column", recording_column)
-    blocked = polys.sieve_tables(F3, 16, (0, 2))
+    monkeypatch.setattr(sieve, "_BLOCK", 1000)
+    monkeypatch.setattr(sieve, "remainder_bases", recording)
+    monkeypatch.setattr(sieve, "_column", recording_column)
+    blocked = sieve.sieve_tables(F3, 16, (0, 2))
     assert max(built) <= 1000
     assert steps and max(steps) <= 1000
     for stages, stages_b in zip(whole[1:], blocked[1:], strict=True):
@@ -386,11 +392,11 @@ def test_monic_code_is_one_order(field, fresh_product_lists):
             assert (np.diff(rows @ q ** np.arange(d)) > 0).all()
     # with a restricted set, the j-th monic is the census's candidate j
     allowed, n = (0, q - 1), 4
-    tables = polys.sieve_tables(field, n, allowed)
+    tables = sieve.sieve_tables(field, n, allowed)
     candidates = list(enumerate_monic(field, n, allowed))
     for j, f in enumerate(candidates):
         assert f.coeffs == tuple(allowed[c] for c in digits(j, 2, n)) + (1,)
-    survivors = polys.sieve(tables, 0, len(candidates))
+    survivors = sieve.sieve(tables, 0, len(candidates))
     assert survivors.tolist() == [j for j, f in enumerate(candidates) if is_irreducible(f)]
 
 
