@@ -17,14 +17,17 @@ from .charsum import (
     abs_s_r,
     cauchy_schwarz_bound,
     consecutive_l1_bound,
+    digit_weights,
     l1_average_closed_form,
     l1_average_direct,
     lemma3_bound,
     lemma6_bound,
 )
 from .circle import (
+    FareyWindows,
     arc_exponent,
     arc_partition_check,
+    farey_window_blocks,
     farey_window_rows,
     farey_windows,
     lemma1_errors,
@@ -44,7 +47,9 @@ MAX_WITNESSES = 10
 _SUBSET_LIMIT = 1 << 12
 _POINT_LIMIT = 1 << 16
 # Most window entries (sets x windows x digits) that the per-set passes of a
-# pointwise check read over one field.  It admits every default grid (lemma6 at
+# pointwise check, or of lemma4, read over one field.  It bounds work, not
+# memory: lemma3 and lemma6 hold one block of windows at a time
+# (`circle.farey_window_blocks`).  It admits every default grid (lemma6 at
 # p = 7: 35 sets x 102,942 windows x 9 digits, ~3.2 * 10^7), and `verify lemma4
 # --q 31` (497 sets x 895,592 windows x 8 digits, ~3.6 * 10^9) is refused at once.
 _PASS_LIMIT = 1 << 26
@@ -291,39 +296,94 @@ def check_corollary2(ps=(3, 5, 7), n_max=4, tol=1e-9):
 def _pointwise_bound_check(rec, field, sets, n_max, bound_fn):
     """Shared driver for the pointwise |S_R(a/g)| bounds (denominator not t^d).
 
-    The bound depends on the point only through deg g, so it is evaluated once
-    per degree and indexed per point.  Every point counts as a case; the
-    `MAX_WITNESSES` largest violations of each (set, n) are recorded.
+    At degree n, |S_R(a/g)| is the product of |W(x_{-j})| over j <= n
+    (`abs_s_r`), so it depends on the point only through how many of its first
+    n digits equal each c, and the bound only through deg g.  So one value per
+    class (deg g, n, digit counts) decides every point of the class: a first
+    stream of the windows (`farey_window_blocks`) collects the classes present,
+    and a second, only for the classes that fail, decides their points by each
+    one's own product, in row order.  The bound is evaluated once per
+    (set, n, deg g).  Every point counts as a case; the `MAX_WITNESSES` largest
+    violations of each (set, n) are recorded.
     """
-    fw = farey_windows(field, 1, 3, n_max)
-    keep = fw.g_codes != 0  # t^d is the monic of index 0
-    q = field.q
-    uniq_degs, deg_index = np.unique(fw.degs, return_inverse=True)
-    for forb in sets:
-        R = RestrictedSet(field, forb)
-        s = len(forb)
-        prods = abs_s_r(R, fw.windows)  # column n-1 holds |S_R| at degree n
-        for n in range(1, n_max + 1):
-            lhs = prods[:, n - 1]
-            per_deg = [bound_fn(q, s, n, int(d)) for d in uniq_degs]
-            rhs = np.array(per_deg, dtype=float)[deg_index]
-            bad = np.flatnonzero((lhs > rhs * (1 + 1e-9) + 1e-9) & keep)
-            # the largest margins; a stable sort keeps row order among ties
-            worst = bad[np.argsort(rhs[bad] - lhs[bad], kind="stable")[:MAX_WITNESSES]]
-            for i in worst:
+    q, B = field.q, n_max + 1
+    # a class is (4 (n - 1) + deg g) B^q + sum_c k_c B^c, with k_c <= n < B digits
+    # equal to c.  `farey_window_rows` admits rows max(n_max, 6) <= 2^23 with
+    # rows >= q^5 (q - 1), so q <= 9 and every key stays below 4 n_max B^q < 2^59.
+    shift = (4 * np.arange(n_max) * B**q)[None, :]
+
+    def stream():
+        for block in farey_window_blocks(field, 1, 3, n_max):
+            keys = B**block.windows
+            np.cumsum(keys, axis=1, out=keys)
+            keys += shift
+            # deg g = 0 stands for g = t^d, the monic of index 0, which no bound reads
+            keys += (block.degs * (block.g_codes != 0) * B**q)[:, None]
+            yield block, keys
+
+    cases, classes = 0, np.zeros(0, dtype=np.int64)
+    for block, keys in stream():
+        cases += int(np.count_nonzero(block.g_codes))
+        # sorted and deduplicated by hand: np.unique would import numpy.ma
+        merged = np.sort(np.concatenate([classes, keys.ravel()]))
+        first = np.ones(len(merged), dtype=bool)
+        first[1:] = merged[1:] != merged[:-1]
+        classes = merged[first]
+        del block, keys, merged, first  # not held while the next block is built
+    n = classes // (4 * B**q) + 1
+    deg = classes // B**q % 4
+    counts = classes[:, None] // B ** np.arange(q) % B
+    # a row's product rounds n times, a class's value about 2q times, each
+    # within an ulp: a class is flagged when a row of it may violate its bound
+    slack = 1 + 2 * (n + q) * np.finfo(float).eps
+    Rs, tables, failing = [RestrictedSet(field, forb) for forb in sets], [], []
+    for R in Rs:
+        table = np.full((n_max + 1, 4), np.inf)  # table[n, deg g]
+        for k in range(1, n_max + 1):
+            table[k, 1:] = np.array([bound_fn(q, R.s, k, d) for d in (1, 2, 3)], dtype=float)
+        W = np.abs(np.array(digit_weights(R)))
+        value = np.prod(W**counts, axis=1)
+        tables.append(table)
+        failing.append(classes[value * slack > table[n, deg] * (1 + 1e-9) + 1e-9])
+    top = {}  # (set index, n - 1) -> the largest violations so far: lhs, rhs, rows
+    if any(len(f) for f in failing):
+        for block, keys in stream():
+            for i, R in enumerate(Rs):
+                if not len(failing[i]):
+                    continue
+                hit = np.isin(keys, failing[i])
+                some = hit.any(axis=1)
+                if not some.any():
+                    continue
+                rows = block.take(some)
+                lhs = abs_s_r(R, rows.windows)  # column n - 1 holds |S_R| at degree n
+                bound = tables[i][1:, rows.degs].T
+                bad = hit[some] & (lhs > bound * (1 + 1e-9) + 1e-9)
+                for j in np.flatnonzero(bad.any(axis=0)):
+                    at = np.flatnonzero(bad[:, j])
+                    l, b, w = top.get((i, j), (lhs[:0, j], bound[:0, j], rows.take(at[:0])))
+                    l, b = np.concatenate([l, lhs[at, j]]), np.concatenate([b, bound[at, j]])
+                    w = FareyWindows.concatenate([w, rows.take(at)])
+                    # the largest margins; a stable sort keeps row order among ties
+                    worst = np.argsort(b - l, kind="stable")[:MAX_WITNESSES]
+                    top[i, j] = l[worst], b[worst], w.take(worst)
+    for i, forb in enumerate(sets):
+        for j in range(n_max):
+            lhs, bound, rows = top.get((i, j), ([], [], None))
+            for k in range(len(lhs)):
                 rec.record(
                     False,
-                    float(lhs[i] - rhs[i]),
+                    float(lhs[k] - bound[k]),
                     {
                         "q": q,
                         "forbidden": sorted(forb),
-                        "n": n,
-                        "point": str(fw.point(i)),
-                        "lhs": float(lhs[i]),
-                        "rhs": float(rhs[i]),
+                        "n": j + 1,
+                        "point": str(rows.point(k)),
+                        "lhs": float(lhs[k]),
+                        "rhs": float(bound[k]),
                     },
                 )
-            rec.cases += int(keep.sum()) - len(worst)
+            rec.cases += cases - len(lhs)
 
 
 def check_lemma3(qs=(3, 5), n_max=9):

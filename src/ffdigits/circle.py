@@ -16,14 +16,16 @@ from .charsum import irreducible_counts, residue_counts, s_at_window
 from .field import FieldSpec, RestrictedSet, add, digits, local_factor, matmul, undigits
 from .laurent import RationalPoint
 from .polys import Poly, enumerate_monic, mobius_phi, monic_of_code, poly_gcd
-from .sieve import prime_count, remainder_bases
+from .sieve import _BLOCK, prime_count, remainder_bases
 
 
 class NumericalError(RuntimeError):
     """The orthogonality sums broke the symmetry or the divisibility they must have."""
 
 
-# Most window entries (rows x window length) that `farey_windows` builds.  It
+# Most window entries (rows x window length) that `farey_window_blocks` computes
+# over all its blocks.  It bounds work, not memory: a stream holds one block of
+# about `_BLOCK` entries at a time, and only `farey_windows` holds them all.  It
 # admits every default check (lemma6 at p = 7: ~10^5 rows x 9 digits) and
 # q <= 9 at deg g <= 3 with 9 digits.
 _WINDOW_LIMIT = 1 << 23
@@ -83,6 +85,20 @@ class FareyWindows:
         a = Poly(self.field, digits(int(self.codes[i]), self.field.q, d))
         return RationalPoint(a, monic_of_code(self.field, d, int(self.g_codes[i])))
 
+    def take(self, rows) -> "FareyWindows":
+        """The rows `rows`, an index array or a mask, in that order."""
+        return FareyWindows(self.field, *(getattr(self, k)[rows] for k in _ROW_ARRAYS))
+
+    @staticmethod
+    def concatenate(blocks) -> "FareyWindows":
+        """The rows of one or more `blocks`, one block after another."""
+        blocks = list(blocks)
+        arrays = (np.concatenate([getattr(b, k) for b in blocks]) for k in _ROW_ARRAYS)
+        return FareyWindows(blocks[0].field, *arrays)
+
+
+_ROW_ARRAYS = ("g_codes", "codes", "windows", "degs")
+
 
 def farey_window_rows(q: int, d_min: int, d_max: int, m: int) -> int:
     """The number of rows of `farey_windows` over F_q, in closed form: the
@@ -103,46 +119,63 @@ def farey_window_rows(q: int, d_min: int, d_max: int, m: int) -> int:
     return rows
 
 
-def farey_windows(field: FieldSpec, d_min: int, d_max: int, m: int) -> FareyWindows:
-    """The points of `farey_enumerate` with d_min <= deg g <= d_max and their
-    digit windows, in the same order: by deg g, then by the codes of g and a.
+def farey_window_blocks(field: FieldSpec, d_min: int, d_max: int, m: int):
+    """`farey_windows` as consecutive `FareyWindows` blocks, in its order: first
+    the row of 0/1 (none when d_min > 0), then, degree by degree, the reduced
+    fractions over a block of consecutive denominators g, of about `_BLOCK`
+    window entries.
 
     The digit x_{-j} of a/g is the t^(d-1) coefficient of t^(j-1) a mod g, so a
     Hankel matrix H_g maps the coefficient row of a to its window, and one
-    product of every nonzero numerator against H_g for every g of degree d gives
+    product of every nonzero numerator against H_g for every g of a block gives
     the windows of all those pairs.  The pair is reduced exactly when its first
     2 d_max digits are those of no reduced fraction b/h with 0 < deg h < d.  If
     a/g is not reduced, it is such a b/h.  If it is reduced, the two are
     distinct and |a/g - b/h| = |ah - bg| / |gh| >= q^(-d - deg h) > q^(-2 d_max),
-    so they differ in one of those digits.  `farey_enumerate` with
-    `frac_digits` is the reference.  Refuses past `_WINDOW_LIMIT` entries of
-    the windows it computes, max(m, 2 d_max) digits over every degree up to
-    d_max, before it builds anything (`farey_window_rows`).
+    so they differ in one of those digits.  So only the keys of the lower
+    degrees are kept.  Refuses past `_WINDOW_LIMIT` entries of the windows it
+    computes, max(m, 2 d_max) digits over every degree up to d_max, before it
+    builds anything (`farey_window_rows`).
     """
     width = max(m, 2 * d_max)
     farey_window_rows(field.q, min(d_min, 1), d_max, width)
     q = field.q
-    lower = np.zeros(0, dtype=np.int64)  # keys of the reduced fractions so far
     zero = np.zeros(int(d_min <= 0), dtype=np.int64)
-    g_codes, codes, degs = [zero], [zero], [zero]
-    windows = [np.zeros((len(zero), m), dtype=np.int64)]
+    yield FareyWindows(field, zero, zero, np.zeros((len(zero), m), dtype=np.int64), zero)
+    # the sorted keys of the reduced fractions of lower degrees, after a sentinel
+    lower = np.full(1, -1, dtype=np.int64)
     for d in range(1, d_max + 1):
         A = digits(np.arange(1, q**d, dtype=np.int64), q, d)  # every nonzero numerator
-        G = digits(np.arange(q**d, dtype=np.int64), q, d)
-        h = remainder_bases(field, G, d + width - 2)[:, :, d - 1]  # h[j, k] = [t^(d-1)] (t^k mod g_j)
-        hankel = h[:, np.arange(d)[:, None] + np.arange(width)]
-        pairs = matmul(field, A, hankel).reshape(-1, width)  # row (g, a - 1)
-        # the bound holds q^(2 d_max) < 2^24, so the keys fit in int64
-        key = undigits(pairs[:, : 2 * d_max], q)
-        reduced = np.flatnonzero(~np.isin(key, lower))
-        lower = np.concatenate([lower, key[reduced]])
-        if d >= d_min:
-            g, a = np.divmod(reduced, q**d - 1)
-            windows.append(pairs[reduced, :m])
-            g_codes.append(g)
-            codes.append(a + 1)
-            degs.append(np.full(len(g), d, dtype=np.int64))
-    return FareyWindows(field, *(np.concatenate(x) for x in (g_codes, codes, windows, degs)))
+        step = max(1, _BLOCK // (len(A) * width))  # denominators per block
+        keys = []
+        for start in range(0, q**d, step):
+            G = digits(np.arange(start, min(start + step, q**d), dtype=np.int64), q, d)
+            # h[j, k] = [t^(d-1)] (t^k mod g_j)
+            h = remainder_bases(field, G, d + width - 2)[:, :, d - 1]
+            hankel = h[:, np.arange(d)[:, None] + np.arange(width)]
+            pairs = matmul(field, A, hankel).reshape(-1, width)  # row (g - start, a - 1)
+            # the bound holds q^(2 d_max) < 2^24, so the keys fit in int64
+            key = undigits(pairs[:, : 2 * d_max], q)
+            # by search, where np.isin would sort a block and import numpy.ma to do it
+            reduced = np.flatnonzero(lower.take(np.searchsorted(lower, key), mode="clip") != key)
+            if d < d_max:
+                keys.append(key[reduced])
+            if d >= d_min:
+                g, a = np.divmod(reduced, q**d - 1)
+                windows = pairs[reduced, :m]
+                del pairs  # not held while the block is read
+                degs = np.full(len(g), d, dtype=np.int64)
+                yield FareyWindows(field, start + g, a + 1, windows, degs)
+        lower = np.sort(np.concatenate([lower, *keys]))
+
+
+def farey_windows(field: FieldSpec, d_min: int, d_max: int, m: int) -> FareyWindows:
+    """The points of `farey_enumerate` with d_min <= deg g <= d_max and their
+    digit windows, in the same order: by deg g, then by the codes of g and a.
+    The blocks of `farey_window_blocks`, concatenated; `farey_enumerate` with
+    `frac_digits` is the reference.
+    """
+    return FareyWindows.concatenate(farey_window_blocks(field, d_min, d_max, m))
 
 
 def arc_exponent(deg_g, n: int):

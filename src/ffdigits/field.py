@@ -85,7 +85,8 @@ def undigits(rows, base: int, dtype=np.int64) -> np.ndarray:
 
 def _mod(X, p: int):
     """X mod p, in place on the caller's own X: numpy vectorizes // by a scalar, not %."""
-    if np.size(X) < 1024:  # where a single % costs less than three calls
+    # where a single % costs less than three calls; np.size would build an array from an int
+    if isinstance(X, int) or X.size < 1024:
         return X % p
     Q = X // p
     X -= np.multiply(Q, p, out=Q)

@@ -168,12 +168,24 @@ def sieve(tables: tuple, start: int, stop: int) -> np.ndarray:
     idx = start + np.flatnonzero(~dead[:, :split].ravel()[start - offset : stop - offset])
     H, L = np.divmod(idx, split)
     for lowcode, highcode in compares:
-        # compare at most _BLOCK codes of each table at once
-        step = max(1, _BLOCK // lowcode.shape[1])
+        # compare at most _BLOCK codes of each table at once, in buffers taken once
+        # per stage: blocks that allocated their codes (just under 128 KiB at
+        # uint16) made the heap hand pages back and fault them in
+        g = lowcode.shape[1]
+        # no larger than the survivors, which a small census has few of
+        step = max(1, min(_BLOCK // g, len(L)))
         keep = np.empty(len(L), dtype=bool)
+        # taken after keep, on top of the heap, which hands them back once freed
+        low, high = np.empty((step, g), lowcode.dtype), np.empty((step, g), lowcode.dtype)
         for i in range(0, len(L), step):
-            rows = slice(i, i + step)
-            keep[rows] = ~(lowcode[L[rows]] == highcode[H[rows]]).any(axis=1)
+            k = min(step, len(L) - i)
+            # mode "clip" takes no copy of out; every index is in range
+            np.take(lowcode, L[i : i + k], axis=0, out=low[:k], mode="clip")
+            np.take(highcode, H[i : i + k], axis=0, out=high[:k], mode="clip")
+            # two codes agree exactly where their xor is 0
+            np.bitwise_xor(low[:k], high[:k], out=low[:k])
+            np.all(low[:k], axis=1, out=keep[i : i + k])
+        del low, high  # not held while the survivors are compacted
         L, H = L[keep], H[keep]
         if not len(L):
             break

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ffdigits import checks
-from ffdigits.charsum import RestrictedSet, lemma6_bound, s_r_at
+from ffdigits.charsum import RestrictedSet, abs_s_r, lemma3_bound, lemma6_bound, s_r_at
 from ffdigits.checks import (
     CHECKS,
     PINNED_Q17_NO_ZERO,
@@ -23,8 +24,9 @@ from ffdigits.checks import (
     check_theorem_trend,
     run_check,
 )
-from ffdigits.circle import farey_windows
-from ffdigits.field import get_field
+from ffdigits.circle import _WINDOW_LIMIT, farey_window_rows, farey_windows
+from ffdigits.field import get_field, prime_power
+from ffdigits.sieve import _BLOCK
 from ffdigits.laurent import RationalPoint, frac_digits
 from ffdigits.polys import Poly, euler_phi
 
@@ -151,6 +153,98 @@ def test_lemma6_counterexample_at_s_equals_p_minus_one():
     assert abs(value - 1) < 1e-12
     assert bound == pytest.approx(math.exp(-3 / 125))
     assert value > bound
+
+
+def _whole_window_pointwise_check(rec, field, sets, n_max, bound_fn):
+    """The pointwise check over every window at once, one (rows x n_max)
+    product per set, each row decided by its own product: the oracle of
+    `checks._pointwise_bound_check`."""
+    fw = farey_windows(field, 1, 3, n_max)
+    keep = fw.g_codes != 0  # t^d is the monic of index 0
+    q = field.q
+    uniq_degs, deg_index = np.unique(fw.degs, return_inverse=True)
+    for forb in sets:
+        R = RestrictedSet(field, forb)
+        s = len(forb)
+        prods = abs_s_r(R, fw.windows)  # column n-1 holds |S_R| at degree n
+        for n in range(1, n_max + 1):
+            lhs = prods[:, n - 1]
+            per_deg = [bound_fn(q, s, n, int(d)) for d in uniq_degs]
+            rhs = np.array(per_deg, dtype=float)[deg_index]
+            bad = np.flatnonzero((lhs > rhs * (1 + 1e-9) + 1e-9) & keep)
+            # the largest margins; a stable sort keeps row order among ties
+            worst = bad[np.argsort(rhs[bad] - lhs[bad], kind="stable")[:checks.MAX_WITNESSES]]
+            for i in worst:
+                rec.record(
+                    False,
+                    float(lhs[i] - rhs[i]),
+                    {
+                        "q": q,
+                        "forbidden": sorted(forb),
+                        "n": n,
+                        "point": str(fw.point(i)),
+                        "lhs": float(lhs[i]),
+                        "rhs": float(rhs[i]),
+                    },
+                )
+            rec.cases += int(keep.sum()) - len(worst)
+
+
+@pytest.mark.parametrize(
+    "q,bound_fn",
+    [(4, lemma3_bound), (5, lemma3_bound), (7, lemma3_bound), (5, lemma6_bound), (7, lemma6_bound)],
+)
+def test_pointwise_classes_equal_the_whole_window_pass(q, bound_fn):
+    # with the bound scaled by 0.6, hundreds of points per grid violate it; the
+    # classes must find the same ones, with the same witnesses in the same order
+    # and the same float values
+    field = get_field(*prime_power(q))
+    if bound_fn is lemma3_bound:
+        sets = checks._subsets(field, range(1, q // 2 + 1))
+    else:
+        sets = [S for S in checks._consecutive_sets(field) if q - len(S) >= 2]
+
+    def scaled(*args):
+        return 0.6 * bound_fn(*args)
+
+    recs = [_Recorder(), _Recorder()]
+    _pointwise_bound_check(recs[0], field, sets, 9, scaled)
+    _whole_window_pointwise_check(recs[1], field, sets, 9, scaled)
+    assert recs[0].violations and recs[0].violations == recs[1].violations
+    new, old = (rec.result("pointwise", {}, 0.0) for rec in recs)
+    assert (new.passed, new.cases, new.witnesses) == (old.passed, old.cases, old.witnesses)
+    assert not new.passed
+
+
+def test_lemma6_streams_its_windows_in_a_few_blocks():
+    # p = 7: 35 sets x 102,942 windows x 9 digits; the whole windows and one
+    # set's products took ~32 MB, the stream holds a few blocks of int64
+    check_lemma6(ps=(7,), n_max=2)  # the field's tables and the digit weights
+    tracemalloc.start()
+    try:
+        result = check_lemma6(ps=(7,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed and result.cases == 35 * 102_600 * 9
+    assert peak < 8 * _BLOCK * 8
+
+
+def test_pointwise_class_keys_fit_in_int64():
+    # the class keys (checks._pointwise_bound_check) stay below 4 n_max (n_max + 1)^q
+    # for the largest n_max that the window bound admits at deg g <= 3, over every
+    # field it admits; q >= 11 admits none, and larger q only have more rows
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        n_max = _WINDOW_LIMIT // sum(q ** (2 * d - 1) * (q - 1) for d in (1, 2, 3))
+        if q >= 11:
+            assert n_max < 6
+            with pytest.raises(ValueError, match="exceed their bound"):
+                farey_window_rows(q, 1, 3, 6)
+            continue
+        farey_window_rows(q, 1, 3, n_max)
+        with pytest.raises(ValueError, match="exceed their bound"):
+            farey_window_rows(q, 1, 3, n_max + 1)
+        assert 4 * n_max * (n_max + 1) ** q < 2**59
 
 
 def test_pointwise_witnesses_reproduce_their_lhs():

@@ -9,11 +9,13 @@ from ffdigits.census import count_restricted
 from ffdigits.charsum import RestrictedSet, s_at
 from ffdigits.circle import (
     FareyArc,
+    FareyWindows,
     NumericalError,
     PredictorParams,
     arc_partition_check,
     error_budget,
     farey_enumerate,
+    farey_window_blocks,
     farey_windows,
     lemma1_errors,
     lemma5_ratio,
@@ -92,6 +94,22 @@ def test_farey_windows_match_oracle(q, monkeypatch):
                 assert fw.windows.shape == (len(keep), m)
                 assert np.array_equal(fw.windows, oracle_windows[keep, :m])
                 assert fw.degs.tolist() == [oracle[i].g.degree for i in keep]
+
+
+@pytest.mark.parametrize("q", [2, 4, 5])
+def test_farey_window_blocks_do_not_change_the_windows(q, monkeypatch):
+    # one denominator per block, against one block per degree: the same rows in
+    # the same order, so the reducedness test keeps every lower degree's keys
+    field = get_field(*prime_power(q))
+    whole = farey_windows(field, 0, 3, 9)
+    monkeypatch.setattr(circle, "_BLOCK", 1)
+    blocks = list(farey_window_blocks(field, 0, 3, 9))
+    assert len(blocks) == 1 + sum(q**d for d in (1, 2, 3))
+    for block in blocks[1:]:
+        assert len(set(block.g_codes.tolist())) <= 1
+    split = FareyWindows.concatenate(blocks)
+    for k in ("g_codes", "codes", "windows", "degs"):
+        assert np.array_equal(getattr(split, k), getattr(whole, k))
 
 
 @pytest.mark.parametrize("q,rows", [(3, 520), (5, 12_896), (7, 102_600)])

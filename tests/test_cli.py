@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ffdigits import census, charsum, checks, cli, polys, sieve
+from ffdigits import census, charsum, checks, circle, cli, polys, sieve
 from ffdigits.census import count_restricted
 from ffdigits.charsum import RestrictedSet
 from ffdigits.circle import PredictorParams
@@ -218,7 +218,8 @@ def test_verify_refuses_pointwise_passes_before_any_window(capsys, monkeypatch, 
     def banned(*args):
         raise AssertionError("built Farey windows past the bound")
 
-    monkeypatch.setattr(checks, "farey_windows", banned)
+    for module in (checks, circle):  # lemma4 reaches it through circle.farey_windows
+        monkeypatch.setattr(module, "farey_window_blocks", banned)
     code, out, err = run(capsys, "verify", *argv)
     assert code == EXIT_USAGE
     assert "window entries" in err and "exceed their bound" in err

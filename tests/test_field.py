@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from ffdigits.field import (
     FieldError,
     FieldSpec,
+    _mod,
     add,
     digits,
     get_field,
@@ -279,3 +280,18 @@ def test_elementwise_ops_match_scalar_ops(q):
     assert madd(F, C, A, B).tolist() == [F.add(c, F.mul(a, b)) for a, b, c, *_ in rows]
     # scalars broadcast against arrays
     assert add(F, A, 1).tolist() == [F.add(a, 1) for a, *_ in rows]
+
+
+@pytest.mark.parametrize(
+    "X", [-7, 12, np.int64(-7), np.arange(-600, 400), np.arange(-3000, 2000)], ids=repr
+)
+def test_mod_reduces_ints_and_arrays(X):
+    # a Python int stays an int (every scalar FieldSpec op reaches _mod); an array
+    # of 1024 entries or more is reduced in place by floor division
+    expected = np.asarray(X) % 5
+    out = _mod(X.copy() if isinstance(X, np.ndarray) else X, 5)
+    assert type(out) is type(X)
+    assert np.array_equal(out, expected) and np.asarray(out).dtype == expected.dtype
+    if isinstance(X, np.ndarray) and X.size >= 1024:
+        Y = X.copy()
+        assert _mod(Y, 5) is Y

@@ -1,14 +1,16 @@
-"""Wall time and peak RSS of `ffdigits count` at census shapes larger than
-the benchmark's, each in a fresh interpreter: five with one worker, and
-q=17 R={0} n=6 again with two, which measures what the census threads gain.
+"""Wall time, peak RSS and minor page faults of `ffdigits count` at census
+shapes larger than the benchmark's, each in a fresh interpreter: five with one
+worker, and q=17 R={0} n=6 again with two, which measures what the census
+threads gain.
 
     python3 tools/census_scale.py
 
 Run from the root of a checkout; the package is imported from ./src.  The peak
-RSS is the child's ru_maxrss from wait4, in MiB like perfbench's peak_rss_mb.
+RSS is the child's ru_maxrss from wait4, in MiB like perfbench's peak_rss_mb,
+and minor_faults its ru_minflt, the pages it faulted in without reading a file.
 Prints one JSON line per shape: its label, its worker count, the count it
-printed, wall_s and peak_rss_mb.  The shapes need about 2 s to 40 s and 45 to
-400 MB each.
+printed, wall_s, peak_rss_mb and minor_faults.  The shapes need about 2 s to
+40 s and 45 to 400 MB each.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ SHAPES = [
 
 
 def run_count(workers: int, args: list) -> dict:
-    """One `ffdigits count` in a fresh interpreter: its output, wall time and peak RSS."""
+    """One `ffdigits count` in a fresh interpreter: its output, wall time, peak RSS
+    and minor page faults."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     argv = [sys.executable, "-m", "ffdigits.cli", "count", "--workers", str(workers), *args]
     start = time.perf_counter()
@@ -48,7 +51,12 @@ def run_count(workers: int, args: list) -> dict:
     proc.stdout.close()
     if os.waitstatus_to_exitcode(status) != 0:
         raise RuntimeError(f"{' '.join(argv)} exited with status {status}")
-    return {"count": int(out), "wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 2)}
+    return {
+        "count": int(out),
+        "wall_s": round(wall, 3),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 2),
+        "minor_faults": usage.ru_minflt,
+    }
 
 
 def main() -> int:
