@@ -5,9 +5,11 @@ from importlib import import_module
 
 # each submodule's public names; it is imported on first use (PEP 562), so a census skips checks
 _EXPORTS = {
-    "census": ("CensusReport", "count_restricted", "scan"),
+    "census": (
+        "CensusReport", "PredictorParams", "count_restricted", "main_term", "predictor", "scan"
+    ),
     "checks": ("CheckResult", "run_check"),
-    "circle": ("PredictorParams", "main_term", "orthogonality_count", "predictor"),
+    "circle": ("orthogonality_count",),
     "field": ("FieldSpec", "RestrictedSet", "get_field"),
     "laurent": ("RationalPoint", "frac_digits"),
     "polys": ("Poly", "euler_phi", "is_irreducible", "mobius"),

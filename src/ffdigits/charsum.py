@@ -30,10 +30,16 @@ def fourier_indicator(spec: FieldSpec, A, r: int) -> complex:
 
 @lru_cache(maxsize=None)
 def digit_weights(R: RestrictedSet) -> tuple:
-    """W[d] = sum_{c allowed} psi(c * d); one digit's factor in the product formula."""
+    """W[d] = sum_{c allowed} psi(c * d); one digit's factor in the product formula.
+
+    The products c * d come as one row per allowed c, by increasing c (on prime
+    fields reduced mod p, with no q x q table), and the rows are summed one after
+    another, in the order of `fourier_indicator`'s loop, so W is that loop's.
+    """
     spec = R.spec
-    comp = R.complement
-    return tuple(fourier_indicator(spec, comp, d) for d in spec.elements())
+    E = np.arange(spec.q, dtype=np.int64)
+    products = madd(spec, 0, np.array(R.complement, dtype=np.int64)[:, None], E)
+    return tuple(spec.psi_table[products].sum(axis=0).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .charsum import (
     consecutive_l1_bound,
     digit_weights,
     l1_average_closed_form,
-    l1_average_direct,
     lemma3_bound,
     lemma6_bound,
 )
@@ -34,7 +33,7 @@ from .circle import (
     lemma5_ratio,
     orthogonality_count,
 )
-from .field import RestrictedSet, get_field, prime_power
+from .field import RestrictedSet, digits, get_field, prime_power
 from .laurent import RationalPoint
 from .polys import Poly, monic_of_code
 from .sieve import prime_count
@@ -227,11 +226,14 @@ def check_lemma2(qs=(2, 3, 5, 7), n_max=4, tol=1e-9):
             )
     for q in qs:
         field = get_field(*prime_power(q))
+        # every a'/t^n_max; its first q^n rows hold the points a'/t^n of degree n
+        windows = digits(np.arange(q**n_max, dtype=np.int64), q, n_max)
         max_s = 3 if q == 7 else q - 1
         for forb in _subsets(field, range(1, max_s + 1)):
             R = RestrictedSet(field, forb)
+            prods = abs_s_r(R, windows)
             for n in range(1, n_max + 1):
-                direct = l1_average_direct(R, n)
+                direct = float(prods[: q**n, n - 1].mean())  # `l1_average_direct`
                 closed = l1_average_closed_form(R, n)
                 rel = abs(direct - closed) / max(abs(closed), 1e-300)
                 rec.record(
@@ -293,8 +295,30 @@ def check_corollary2(ps=(3, 5, 7), n_max=4, tol=1e-9):
     return rec.result("corollary2", {"ps": list(ps), "n_max": n_max}, started)
 
 
-def _pointwise_bound_check(rec, field, sets, n_max, bound_fn):
-    """Shared driver for the pointwise |S_R(a/g)| bounds (denominator not t^d).
+def _bound_tables(field, sets, n_max, bound_fn) -> list:
+    """Per set, table[n, deg g] = bound_fn(q, s, n, deg g) as a float for 1 <= n <= n_max
+    and 1 <= deg g <= 3, inf elsewhere: one evaluation per (set, n, deg g).
+
+    Refuses a bound past the float range, where no float comparison would decide
+    the points against it; the checks build every table before any window.
+    """
+    tables = []
+    for forb in sets:
+        table = np.full((n_max + 1, 4), np.inf)
+        for n in range(1, n_max + 1):
+            try:
+                table[n, 1:] = [bound_fn(field.q, len(forb), n, d) for d in (1, 2, 3)]
+            except OverflowError:
+                raise ValueError(
+                    f"the bound at degree {n} over F_{field.q} passes the float range"
+                ) from None
+        tables.append(table)
+    return tables
+
+
+def _pointwise_bound_check(rec, field, sets, n_max, tables):
+    """Shared driver for the pointwise |S_R(a/g)| bounds (denominator not t^d),
+    against each set's `_bound_tables`.
 
     At degree n, |S_R(a/g)| is the product of |W(x_{-j})| over j <= n
     (`abs_s_r`), so it depends on the point only through how many of its first
@@ -302,9 +326,9 @@ def _pointwise_bound_check(rec, field, sets, n_max, bound_fn):
     class (deg g, n, digit counts) decides every point of the class: a first
     stream of the windows (`farey_window_blocks`) collects the classes present,
     and a second, only for the classes that fail, decides their points by each
-    one's own product, in row order.  The bound is evaluated once per
-    (set, n, deg g).  Every point counts as a case; the `MAX_WITNESSES` largest
-    violations of each (set, n) are recorded.
+    one's own product, in row order.  A product past the float range is inf,
+    which passes every bound, as the product does.  Every point counts as a
+    case; the `MAX_WITNESSES` largest violations of each (set, n) are recorded.
     """
     q, B = field.q, n_max + 1
     # a class is (4 (n - 1) + deg g) B^q + sum_c k_c B^c, with k_c <= n < B digits
@@ -336,14 +360,10 @@ def _pointwise_bound_check(rec, field, sets, n_max, bound_fn):
     # a row's product rounds n times, a class's value about 2q times, each
     # within an ulp: a class is flagged when a row of it may violate its bound
     slack = 1 + 2 * (n + q) * np.finfo(float).eps
-    Rs, tables, failing = [RestrictedSet(field, forb) for forb in sets], [], []
-    for R in Rs:
-        table = np.full((n_max + 1, 4), np.inf)  # table[n, deg g]
-        for k in range(1, n_max + 1):
-            table[k, 1:] = np.array([bound_fn(q, R.s, k, d) for d in (1, 2, 3)], dtype=float)
+    Rs, failing = [RestrictedSet(field, forb) for forb in sets], []
+    for R, table in zip(Rs, tables):
         W = np.abs(np.array(digit_weights(R)))
         value = np.prod(W**counts, axis=1)
-        tables.append(table)
         failing.append(classes[value * slack > table[n, deg] * (1 + 1e-9) + 1e-9])
     top = {}  # (set index, n - 1) -> the largest violations so far: lhs, rhs, rows
     if any(len(f) for f in failing):
@@ -394,8 +414,9 @@ def check_lemma3(qs=(3, 5), n_max=9):
     grid = [(field, _subsets(field, range(1, field.q // 2 + 1))) for field in fields]
     for field, sets in grid:
         _bound_pass(field, sets, farey_window_rows(field.q, 1, 3, n_max), n_max)
-    for field, sets in grid:
-        _pointwise_bound_check(rec, field, sets, n_max, lemma3_bound)
+    tables = [_bound_tables(field, sets, n_max, lemma3_bound) for field, sets in grid]
+    for (field, sets), bounds in zip(grid, tables):
+        _pointwise_bound_check(rec, field, sets, n_max, bounds)
     return rec.result("lemma3", {"qs": list(qs), "n_max": n_max, "d_max": 3}, started)
 
 
@@ -415,8 +436,9 @@ def check_lemma6(ps=(5, 7), n_max=9):
     ]
     for field, sets in grid:
         _bound_pass(field, sets, farey_window_rows(field.q, 1, 3, n_max), n_max)
-    for field, sets in grid:
-        _pointwise_bound_check(rec, field, sets, n_max, lemma6_bound)
+    tables = [_bound_tables(field, sets, n_max, lemma6_bound) for field, sets in grid]
+    for (field, sets), bounds in zip(grid, tables):
+        _pointwise_bound_check(rec, field, sets, n_max, bounds)
     return rec.result(
         "lemma6", {"ps": list(ps), "n_max": n_max, "d_max": 3, "s_max": "p-2"}, started
     )
@@ -432,6 +454,21 @@ def check_lemma4(qs=(3, 5), ds=(1, 2), ns=(4, 6, 8)):
     d_top = max(ds, default=0)
     for field, sets in grid:
         _bound_pass(field, sets, farey_window_rows(field.q, 0, d_top, n_max), n_max)
+    # every bound before any window; one past the float range is refused
+    bounds = {}
+    for (field, sets), d, n in product(grid, ds, ns):
+        if d > n / 2:
+            continue
+        q = field.q
+        for s in {len(forb) for forb in sets}:
+            try:
+                bounds[q, s, d, n] = (q - s) ** (n - 2 * d) * (q * (1 + np.sqrt(s)) - 2 * s) ** (
+                    2 * d
+                )
+            except OverflowError:
+                raise ValueError(
+                    f"the bound at degree {n} over F_{q} passes the float range"
+                ) from None
     for field, sets in grid:
         q = field.q
         # one build at the largest d, summed over deg g <= d for each d
@@ -446,9 +483,7 @@ def check_lemma4(qs=(3, 5), ds=(1, 2), ns=(4, 6, 8)):
                     if d > n / 2:
                         continue
                     lhs = float(prods[within, n - 1].sum())
-                    rhs = (q - s) ** (n - 2 * d) * (q * (1 + np.sqrt(s)) - 2 * s) ** (
-                        2 * d
-                    )
+                    rhs = bounds[q, s, d, n]
                     rec.record(
                         lhs <= rhs * (1 + 1e-9) + 1e-9,
                         lhs - rhs,

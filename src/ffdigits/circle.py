@@ -1,19 +1,20 @@
 """Farey-arc machinery and the count pipeline: arc enumeration and partition,
-the square-root-cancellation error check at rational points, the main-term and
-predictor formulas, the error budget, and the orthogonality-identity count.
+the square-root-cancellation error check at rational points, and the
+orthogonality-identity count.  The main term, the predictor and the error
+budget live next to the census (`census`) and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 
+from .census import PredictorParams, error_budget, main_term, predictor  # noqa: F401  re-exported
 from .charsum import irreducible_counts, residue_counts, s_at_window
-from .field import FieldSpec, RestrictedSet, add, digits, local_factor, matmul, undigits
+from .field import FieldSpec, RestrictedSet, add, digits, matmul, undigits
 from .laurent import RationalPoint
 from .polys import Poly, enumerate_monic, mobius_phi, monic_of_code, poly_gcd
 from .sieve import _BLOCK, prime_count, remainder_bases
@@ -263,74 +264,6 @@ def lemma5_ratio(field: FieldSpec, d: int) -> tuple:
         raise ValueError("need deg g >= 1")
     q = field.q
     return q**d / mobius_phi(field, d)[1], (1 + math.log(d, q)) * math.e
-
-
-# ---------------------------------------------------------------------------
-# predictor and error budget
-
-@dataclass(frozen=True)
-class PredictorParams:
-    q: int
-    s: int
-    n: int
-    zero_in_R: bool
-
-    def __post_init__(self):
-        if not 0 <= self.s < self.q:
-            raise ValueError("need 0 <= s < q")
-        if self.n < 1:
-            raise ValueError(f"degree must be >= 1, got {self.n}")
-
-    @classmethod
-    def from_restricted(cls, R: RestrictedSet, n: int) -> "PredictorParams":
-        return cls(q=R.spec.q, s=R.s, n=n, zero_in_R=R.zero_in_R)
-
-    @property
-    def lam(self) -> Fraction:
-        return local_factor(self.q, self.s, self.zero_in_R)
-
-    @property
-    def flagged(self) -> bool:
-        """True when s exceeds the sqrt(q)/2 comfort zone of the asymptotic."""
-        return 4 * self.s**2 > self.q
-
-
-def main_term(P: PredictorParams) -> Fraction:
-    """Exact main term (q*Lambda/(q-1)) * pi(n) * (1 - s/q)^n."""
-    return (
-        Fraction(P.q, P.q - 1)
-        * P.lam
-        * prime_count(P.q, P.n)
-        * Fraction(P.q - P.s, P.q) ** P.n
-    )
-
-
-def predictor(P: PredictorParams) -> float:
-    """(q/(q-1)) * (q-s)^n / n * Lambda; inf past the float range."""
-    try:
-        return float(Fraction(P.q, P.q - 1) * Fraction((P.q - P.s) ** P.n, P.n) * P.lam)
-    except OverflowError:
-        return math.inf
-
-
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def error_budget(q: int, s: int, n: int) -> float:
-    """Reported (never asserted) total error, all implied constants set to 1.
-
-    Defined for n >= 3, where the minor-arc split U = sqrt(2n/5) lies in [1, n/2].
-    """
-    if n < 3:
-        raise ValueError(f"the error budget needs n >= 3, got {n}")
-    lq = math.log(q)
-    return _safe_exp(-math.sqrt(n) / (2 * math.sqrt(10)) * lq) + _safe_exp(
-        n * (0.75 * lq + math.log(math.sqrt(s) + 1) - math.log(q - s))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 a verification check failed, 2 usage error, 3 the
 orthogonality sums broke their symmetry or divisibility, 4 budget exceeded or out of memory.
 
-Each command imports what it runs: `count` loads `field`, `sieve` and `census`
-alone; `scan` and `predict` add the predictor (`circle` and what it imports),
-and `verify` the checks.
+Each command imports what it runs: `count`, `scan` and `predict` load `field`,
+`sieve` and `census` alone, since the predictor, the main term and the error
+budget live in `census`; `verify` loads the checks and everything they import.
 """
 
 from __future__ import annotations
@@ -14,7 +14,16 @@ import argparse
 import sys
 from contextlib import ExitStack
 
-from .census import BudgetError, DEFAULT_BUDGET, count_restricted, scan, write_csv, write_json
+from .census import (
+    BudgetError,
+    DEFAULT_BUDGET,
+    PredictorParams,
+    count_restricted,
+    predictor,
+    scan,
+    write_csv,
+    write_json,
+)
 from .field import FieldError, FieldSpec, RestrictedSet, get_field, prime_power
 
 EXIT_OK = 0
@@ -116,8 +125,6 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    from .circle import PredictorParams, predictor
-
     R = _restricted_from_args(args)
     params = PredictorParams.from_restricted(R, args.n)
     if params.flagged:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -342,28 +341,42 @@ def get_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# the forbidden set R and its local factor
+# value records, the forbidden set R and its local factor
 
-def local_factor(q: int, s: int, zero_in_R: bool) -> Fraction:
-    """Lambda, the local correction at t: 1 when 0 is forbidden, else 1 - 1/(q - s)."""
-    if zero_in_R:
-        return Fraction(1)
-    return 1 - Fraction(1, q - s)
+class Frozen:
+    """Mixed into a namedtuple class ahead of it: an instance equals only instances of
+    its own class with equal fields, as a frozen dataclass does, and hashes by its fields.
+    A census builds its records from this and not from `dataclasses`, which it never loads."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class RestrictedSet:
+def local_factor(q: int, s: int, zero_in_R: bool) -> tuple:
+    """Lambda, the local correction at t, as (numerator, denominator): 1 when 0 is
+    forbidden, else 1 - 1/(q - s)."""
+    return (1, 1) if zero_in_R else (q - s - 1, q - s)
+
+
+class RestrictedSet(Frozen, namedtuple("RestrictedSet", "spec forbidden")):
     """A forbidden coefficient set R inside F_q."""
 
-    spec: FieldSpec
-    forbidden: frozenset = dc_field(default_factory=frozenset)
+    __slots__ = ()
 
-    def __post_init__(self):
-        bad = [c for c in self.forbidden if not 0 <= c < self.spec.q]
+    def __new__(cls, spec: FieldSpec, forbidden: frozenset = frozenset()):
+        bad = [c for c in forbidden if not 0 <= c < spec.q]
         if bad:
             raise ValueError(f"forbidden codes out of range: {bad}")
-        if len(self.forbidden) >= self.spec.q:
+        if len(forbidden) >= spec.q:
             raise ValueError("the allowed coefficient set must be nonempty")
+        return super().__new__(cls, spec, forbidden)
 
     @classmethod
     def of(cls, spec: FieldSpec, *codes) -> "RestrictedSet":
@@ -389,8 +402,11 @@ class RestrictedSet:
         return 0 in self.forbidden
 
     @property
-    def lam(self) -> Fraction:
-        return local_factor(self.spec.q, self.s, self.zero_in_R)
+    def lam(self):
+        """Lambda as a `Fraction`, imported here so that a census does not load it."""
+        from fractions import Fraction
+
+        return Fraction(*local_factor(self.spec.q, self.s, self.zero_in_R))
 
     @property
     def is_consecutive(self) -> bool:

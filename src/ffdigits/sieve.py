@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -94,36 +95,43 @@ def _column(field, V: np.ndarray, vals: np.ndarray, r: np.ndarray) -> np.ndarray
     return (vals * r + V if field.k == 1 else madd(field, V, vals, r)).reshape(-1, r.shape[-1])
 
 
-def marks_degree(q: int, m: int, h: int, d: int) -> bool:
-    """Whether `sieve_tables` marks degree d: its inverse's q^d m^(h-d) slots hold <= 2 m^h."""
-    return q**d * m ** (h - d) <= 2 * m**h
+def marks_degree(q: int, d: int, past: int, low: int) -> bool:
+    """Whether `sieve_tables` marks degree d: its inverse's q^d * past slots hold <= 2 low,
+    with `low` the low halves and `past` the low halves per choice of their first d digits."""
+    return q**d * past <= 2 * low
 
 
-def sieve_tables(field: FieldSpec, n: int, allowed: tuple) -> tuple:
-    """(m^h, marks, compares): one sieve stage per irreducible degree d <= n/2.
+def sieve_tables(field: FieldSpec, n: int, columns) -> tuple:
+    """(split, marks, compares): one sieve stage per irreducible degree d <= n/2.
 
-    The candidate with index L + m^h H (m = len(allowed), h = n - n//2) is
-    low_L + t^h high_H + t^n, where low_L carries c_0..c_{h-1} and high_H
-    carries c_h..c_{n-1}.  lowcode[L, j] is the code of low_L mod g_j and
-    highcode[H, j] the code of -(t^h high_H + t^n) mod g_j, so g_j divides the
-    candidate exactly when the two codes are equal; `_codes` builds both from one
-    run of `remainder_bases` per block of irreducibles.  A compare stage keeps
-    (lowcode, highcode), a mark stage (`marks_degree`) (inverse, highcode) with
-    inverse[j q^d + lowcode[L, j], L // m^d] = L and m^h in every other slot: low
-    halves with equal digits past the first d differ only below t^d, so in codes.
+    columns[k] is the tuple of values that c_k takes, k < n, and candidate indices
+    are mixed-radix over their sizes, c_0 least significant.  The candidate with
+    index L + split H is low_L + t^h high_H + t^n, where low_L carries c_0..c_{h-1}
+    and high_H carries c_h..c_{n-1}; h is the smallest h >= n//2 at which the
+    split = |columns[0]| ... |columns[h-1]| low halves are at least as many as the
+    high halves (h = n - n//2 for m >= 2 values in every column).
+    lowcode[L, j] is the code of low_L mod g_j and highcode[H, j] the code of
+    -(t^h high_H + t^n) mod g_j, so g_j divides the candidate exactly when the two
+    codes are equal; `_codes` builds both from one run of `remainder_bases` per
+    block of irreducibles.  A compare stage keeps (lowcode, highcode), a mark stage
+    (`marks_degree`) (inverse, highcode) with inverse[j q^d + lowcode[L, j], L // P_d] = L,
+    P_d = |columns[0]| ... |columns[d-1]|, and split in every other slot: low halves
+    with equal digits past the first d differ only below t^d, so in codes.
     """
-    q, m, half, h = field.q, len(allowed), n // 2, n - n // 2
-    split = m**h
-    neg = negate(field, np.array(allowed + (1,), dtype=np.int64))  # the last is the leading 1
-    low_columns, high_columns = [allowed] * h, [neg[:-1]] * half + [neg[-1:]]
+    q, half, sizes = field.q, n // 2, [len(vals) for vals in columns]
+    h = next(h for h in range(half, n + 1) if prod(sizes[:h]) >= prod(sizes[h:]))
+    split = prod(sizes[:h])
+    # minus the high digits, then minus the leading 1
+    high_columns = [negate(field, np.array(vals, dtype=np.int64)) for vals in [*columns[h:], (1,)]]
     rows = np.arange(split)
     marks, compares = [], []
     for d in range(1, half + 1):
-        G, size, mark = irreducible_codes(field, d), q**d, marks_degree(q, m, h, d)
-        highcode = np.empty((m**half, len(G)), dtype=np.min_scalar_type(size - 1))
+        G, size, past = irreducible_codes(field, d), q**d, prod(sizes[d:h])
+        mark = marks_degree(q, d, past, split)
+        highcode = np.empty((prod(sizes[h:]), len(G)), dtype=np.min_scalar_type(size - 1))
         if mark:
-            low = np.full((len(G) * size, m ** (h - d)), split, dtype=np.min_scalar_type(split))
-            column = rows // m**d
+            low = np.full((len(G) * size, past), split, dtype=np.min_scalar_type(split))
+            column = rows // prod(sizes[:d])
         else:
             low = np.empty((split, len(G)), dtype=highcode.dtype)
         # a block's remainder bases and its low codes hold at most _BLOCK entries each
@@ -132,13 +140,13 @@ def sieve_tables(field: FieldSpec, n: int, allowed: tuple) -> tuple:
             bases = remainder_bases(field, G[i : i + step], n)
             if mark:
                 lowcode = np.empty((split, len(bases)), dtype=highcode.dtype)
-                _codes(field, low_columns, bases[:, :h], lowcode)
-                # a column at a time, so that the scatter's index arrays hold m^h entries
+                _codes(field, columns[:h], bases[:, :h], lowcode)
+                # a column at a time, so that the scatter's index arrays hold split entries
                 for j in range(len(bases)):
                     low[(i + j) * size + lowcode[:, j].astype(np.int64), column] = rows
                 del lowcode  # not held while the high codes are built
             else:
-                _codes(field, low_columns, bases[:, :h], low[:, i : i + step])
+                _codes(field, columns[:h], bases[:, :h], low[:, i : i + step])
             _codes(field, high_columns, bases[:, h:], highcode[:, i : i + step])
         (marks if mark else compares).append((low, highcode))
     return split, marks, compares
@@ -205,7 +213,7 @@ def irreducible_codes(field: FieldSpec, d: int) -> np.ndarray:
     if d < 1:
         return np.zeros((0, 0), dtype=np.int64)
     q = field.q
-    tables = sieve_tables(field, d, tuple(field.elements()))
+    tables = sieve_tables(field, d, (tuple(field.elements()),) * d)
     found = [sieve(tables, lo, min(lo + _CHUNK, q**d)) for lo in range(0, q**d, _CHUNK)]
     rows = digits(np.concatenate(found), q, d)
     rows.flags.writeable = False

@@ -37,6 +37,8 @@ F7 = get_field(7)
 F8 = get_field(2, 3)
 F9 = get_field(3, 2)
 F11 = get_field(11)
+F13 = get_field(13)
+F16 = get_field(2, 4)
 F17 = get_field(17)
 F25 = get_field(5, 2)
 F27 = get_field(3, 3)
@@ -110,8 +112,8 @@ def test_a_count_builds_its_tables_once(workers, monkeypatch):
     calls = []
     build = census.sieve_tables
     monkeypatch.setattr(census, "sieve_tables", lambda *args: calls.append(args) or build(*args))
-    count_restricted(RestrictedSet.of(F5, 0), 9, workers=workers)  # 8 chunks
-    assert calls == [(F5, 9, (1, 2, 3, 4))]
+    count_restricted(RestrictedSet.of(F5, 0), 9, workers=workers)  # 2 chunks: c_8 = 1 only
+    assert calls == [(F5, 9, ((1, 2, 3, 4),) * 8 + ((1,),))]
 
 
 @pytest.mark.parametrize("workers,threads", [(0, 0), (1, 0), (2, 1), (8, 1)])
@@ -128,8 +130,8 @@ def test_a_count_starts_at_most_one_thread_per_chunk(workers, threads, monkeypat
 
 def test_a_failing_stripe_stops_the_threads(monkeypatch):
     # the caller's stripe fails at its first chunk (an interrupt, say); the
-    # thread's stripe of 5905 chunks, 0.5 ms each, ends within a few chunks
-    # rather than running on while the count unwinds
+    # thread's stripe of 3941 chunks (c_17 in {0, 1}), 0.5 ms each, ends within
+    # a few chunks rather than running on while the count unwinds
     sieved = []
 
     def sieve(tables, start, stop):
@@ -231,11 +233,11 @@ def test_block_size_leaves_the_sieve_unchanged(field, forbidden, n, block, monke
     allowed = tuple(c for c in field.elements() if c not in forbidden)
     total = len(allowed) ** n
     R = RestrictedSet(field, frozenset(forbidden))
-    tables = sieve.sieve_tables(field, n, allowed)
+    tables = sieve.sieve_tables(field, n, (allowed,) * n)
     survivors = sieve.sieve(tables, 0, total)
     count = count_restricted(R, n)
     monkeypatch.setattr(sieve, "_BLOCK", block)
-    blocked = sieve.sieve_tables(field, n, allowed)
+    blocked = sieve.sieve_tables(field, n, (allowed,) * n)
     assert blocked[0] == tables[0]
     for stages, stages_b in zip(tables[1:], blocked[1:], strict=True):
         for stage, stage_b in zip(stages, stages_b, strict=True):
@@ -243,6 +245,121 @@ def test_block_size_leaves_the_sieve_unchanged(field, forbidden, n, block, monke
                 assert a.dtype == b.dtype and np.array_equal(a, b)
     assert np.array_equal(sieve.sieve(blocked, 0, total), survivors)
     assert count_restricted(R, n) == count
+
+
+# ---------------------------------------------------------------------------
+# the orbit census: c_{n-1} sieved over one value per orbit of t -> ct
+
+
+def _nonsquares(field):
+    return frozenset(range(1, field.q)) - {field.mul(a, a) for a in range(1, field.q)}
+
+
+def _uniform_count(field, allowed, n):
+    """The census over every candidate, each column the allowed digits."""
+    tables = sieve.sieve_tables(field, n, (allowed,) * n)
+    return len(sieve.sieve(tables, 0, len(allowed) ** n))
+
+
+@pytest.mark.parametrize(
+    "field,forbidden,order",
+    [
+        (F4, (), 3),
+        (F4, (0,), 3),
+        (F8, (), 7),
+        (F8, (0,), 7),
+        (F9, (), 8),
+        (F9, (0,), 8),
+        (F9, {0} | _nonsquares(F9), 4),
+        (F9, (1, F9.neg(1)), 2),  # {a, -a}: H = {1, -1}
+        (F16, (), 15),
+        (F16, (0,), 15),
+        (F25, (0,), 24),
+        (F25, {0} | _nonsquares(F25), 12),
+        (F7, {0} | _nonsquares(F7), 3),
+        (F13, (1, 5, 8, 12), 4),  # the fourth roots of unity, without 0
+    ],
+)
+def test_the_orbit_census_equals_the_uniform_census(field, forbidden, order):
+    # f(t) -> c^(-n) f(ct) for c in H = {c : c R = R} permutes the restricted
+    # irreducibles, so sieving c_{n-1} over one value per H-orbit (and 0) and
+    # weighing each survivor by its orbit counts every candidate exactly once
+    R = RestrictedSet(field, frozenset(forbidden))
+    allowed = R.complement
+    for n in range(1, 7):
+        if len(allowed) ** n > 10**5:
+            break
+        columns, H = census._orbit_columns(R, n)
+        assert H == order and columns[:-1] == (allowed,) * (n - 1)
+        assert len(columns[-1]) == (0 in allowed) + (len(allowed) - (0 in allowed)) // order
+        expected = _uniform_count(field, allowed, n)
+        assert [count_restricted(R, n, workers=w) for w in (1, 2)] == [expected] * 2
+
+
+@pytest.mark.parametrize(
+    "field,forbidden,split,marks,compares",
+    [
+        (
+            F8,
+            (7,),
+            343,
+            [
+                ((64, 49), "uint16", (343, 8), "uint8"),
+                ((1792, 7), "uint16", (343, 28), "uint8"),
+                ((86016, 1), "uint16", (343, 168), "uint16"),
+            ],
+            [],
+        ),
+        (
+            F9,
+            (6, 8),
+            343,
+            [((81, 49), "uint16", (343, 9), "uint8"), ((2916, 7), "uint16", (343, 36), "uint8")],
+            [((343, 240), "uint16", (343, 240), "uint16")],
+        ),
+    ],
+)
+def test_a_trivial_stabiliser_builds_the_uniform_tables(
+    field, forbidden, split, marks, compares, monkeypatch
+):
+    # with H = {1} the census sieves every candidate through the tables that
+    # uniform columns build; the shapes and dtypes are pinned
+    built = []
+    build = census.sieve_tables
+    monkeypatch.setattr(
+        census, "sieve_tables", lambda *args: built.append(build(*args)) or built[-1]
+    )
+    R = RestrictedSet(field, frozenset(forbidden))
+    columns, order = census._orbit_columns(R, 6)
+    assert order == 1 and columns == (R.complement,) * 6
+    count_restricted(R, 6)
+    [(got_split, got_marks, got_compares)] = built
+
+    def shapes(stages):
+        return [(a.shape, str(a.dtype), b.shape, str(b.dtype)) for a, b in stages]
+
+    assert (got_split, shapes(got_marks), shapes(got_compares)) == (split, marks, compares)
+    uniform = sieve.sieve_tables(field, 6, (R.complement,) * 6)
+    for stage, stage_u in zip(got_marks + got_compares, uniform[1] + uniform[2], strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(stage, stage_u, strict=True))
+
+
+def test_the_uniform_budget_bounds_the_orbit_tables():
+    # the budget counts the tables of all m^n candidates (`_table_entries`); the
+    # tables of the orbit census, whose c_{n-1} column is smaller, hold no more,
+    # so no refusal moves, and with H = {1} they hold exactly as many
+    for field in (F3, F4, F5, F7, F8, F9, F11, F13, F16, F17, F25, F31):
+        for forbidden in [set(), {0}, {0} | _nonsquares(field), {1}]:
+            R = RestrictedSet(field, frozenset(forbidden))
+            m = len(R.complement)
+            for n in range(1, 9):
+                if census._table_entries(field.q, m, n) > 3 * 10**6:
+                    break
+                columns, order = census._orbit_columns(R, n)
+                _, marks, compares = sieve.sieve_tables(field, n, columns)
+                entries = sum(a.size + b.size for a, b in marks + compares)
+                bound = census._table_entries(field.q, m, n)
+                assert entries <= bound if order > 1 else entries == bound
 
 
 def _candidate_rows(allowed, n):
@@ -352,7 +469,7 @@ def test_mark_and_compare_stages_match_berlekamp(field, forbidden, n):
     # shapes where low degrees are marked through inverted tables and higher
     # ones compared; F_5 marks a degree at ratio 1.95, just under the rule's 2
     allowed = tuple(c for c in field.elements() if c not in forbidden)
-    tables = sieve.sieve_tables(field, n, allowed)
+    tables = sieve.sieve_tables(field, n, (allowed,) * n)
     _, marks, compares = tables
     assert marks and compares
     expected = _listed_survivors(field, allowed, n)
@@ -378,7 +495,7 @@ def test_a_degree_is_inverted_exactly_when_its_inverse_is_small(field, forbidden
     # the low digits past the first d holds at most twice the entries of its low
     # table; slot (j q^d + lowcode[L, j], L // m^d) holds L, and no two L share one
     allowed = tuple(c for c in field.elements() if c not in forbidden)
-    split, marks, compares = sieve.sieve_tables(field, n, allowed)
+    split, marks, compares = sieve.sieve_tables(field, n, (allowed,) * n)
     m, h = len(allowed), n - n // 2
     low = _candidate_rows(allowed, h)
     inverted = [len(inverse) // high.shape[1] for inverse, high in marks]
@@ -414,7 +531,7 @@ def test_a_marked_degree_never_holds_its_low_table_whole():
         irreducible_codes(F11, d)
     tracemalloc.start()
     try:
-        split, marks, compares = sieve.sieve_tables(F11, 7, allowed)
+        split, marks, compares = sieve.sieve_tables(F11, 7, (allowed,) * 7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -434,7 +551,7 @@ def test_chunks_that_cut_high_rows(n, monkeypatch):
     expected = _listed_survivors(F4, allowed, n)
     monkeypatch.setattr(census, "_CHUNK", 37)
     monkeypatch.setattr(sieve, "_BLOCK", 29)
-    tables = sieve.sieve_tables(F4, n, allowed)
+    tables = sieve.sieve_tables(F4, n, (allowed,) * n)
     assert tables[0] == 3 ** (n - n // 2)
     found = [sieve.sieve(tables, lo, min(lo + 37, 3**n)) for lo in range(0, 3**n, 37)]
     assert np.array_equal(np.concatenate(found), expected)
@@ -455,7 +572,7 @@ def test_census_working_set_is_its_tables_and_a_few_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    _, marks, compares = sieve.sieve_tables(F17, 5, tuple(range(1, 17)))
+    _, marks, compares = sieve.sieve_tables(F17, 5, census._orbit_columns(R, 5)[0])
     table_bytes = sum(table.nbytes for stage in marks + compares for table in stage)
     assert peak - table_bytes < 4 * (1 << 16) * 8
 
@@ -479,6 +596,31 @@ def test_report_fields():
     expected_ratio = rep.exact * 4 * 2 / (3 * 2**4)
     assert abs(rep.ratio - expected_ratio) < 1e-12
     assert rep.elapsed >= 0
+
+
+def test_records_are_frozen_values_of_their_own_class():
+    # the namedtuple records keep the frozen dataclasses' construction,
+    # validation, equality (only within their class), hashing and immutability
+    R = RestrictedSet(F5, frozenset({0}))
+    params = census.PredictorParams(5, 1, 4, True)
+    rep = census_report(R, 4)
+    assert R == RestrictedSet.of(F5, 0) and RestrictedSet(F5) == RestrictedSet(F5, frozenset())
+    assert params == census.PredictorParams.from_restricted(R, 4)
+    assert rep == rep._replace() and rep.error is None
+    for record, fields in [(R, (F5, frozenset({0}))), (params, (5, 1, 4, True))]:
+        assert record != fields and not record == fields and hash(record) == hash(fields)
+    assert R != RestrictedSet.of(F5, 1) and params != census.PredictorParams(5, 1, 4, False)
+    for record, name in [(R, "forbidden"), (params, "n"), (rep, "exact"), (R, "new")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(ValueError, match="out of range"):
+        RestrictedSet(F5, frozenset({5}))
+    with pytest.raises(ValueError, match="nonempty"):
+        RestrictedSet(F5, frozenset(range(5)))
+    with pytest.raises(ValueError, match="0 <= s < q"):
+        census.PredictorParams(5, 5, 4, True)
+    # Lambda is a Fraction where it is formed, and a float in a report
+    assert params.lam == 1 and rep.lam == 1.0 and RestrictedSet.of(F5, 1).lam * 4 == 3
 
 
 def test_report_budget_exceeded_row():

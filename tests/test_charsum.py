@@ -22,7 +22,7 @@ from ffdigits.charsum import (
     s_r_definitional,
 )
 from ffdigits.circle import farey_enumerate
-from ffdigits.field import digits, get_field, prime_power
+from ffdigits.field import FieldSpec, digits, get_field, prime_power
 from ffdigits.laurent import RationalPoint, e_q_of, frac_digits
 from ffdigits.polys import Poly, enumerate_monic, is_irreducible, poly_gcd
 from ffdigits.sieve import prime_count
@@ -91,6 +91,26 @@ def test_fourier_profile_invariants():
             forb_hat = fourier_indicator(F5, R.forbidden, r)
             expected = 5 if r == 0 else 0
             assert abs(comp_hat + forb_hat - expected) < 1e-9
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 25, 27, 31])
+def test_digit_weights_equal_the_scalar_sums(q):
+    # one row of products per allowed digit, summed row by row, adds in the
+    # order of fourier_indicator's loop: the weights are equal, not just close
+    field = get_field(*prime_power(q))
+    for s in range(min(q, 4)):
+        for forbidden in islice(combinations(range(q), s), 12):
+            R = RestrictedSet(field, frozenset(forbidden))
+            expected = tuple(fourier_indicator(field, R.complement, d) for d in field.elements())
+            assert digit_weights(R) == expected
+
+
+def test_digit_weights_build_no_product_table_on_a_prime_field():
+    # on F_1009 the products are reduced mod p; the field's q x q table stays unbuilt
+    field = FieldSpec(1009)
+    W = digit_weights(RestrictedSet(field, frozenset({0})))
+    assert "mul_table" not in vars(field)
+    assert W[0] == 1008 and abs(W[1] + 1) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 
 from ffdigits import checks
-from ffdigits.charsum import RestrictedSet, abs_s_r, lemma3_bound, lemma6_bound, s_r_at
+from ffdigits.charsum import (
+    RestrictedSet,
+    abs_s_r,
+    l1_average_direct,
+    lemma3_bound,
+    lemma6_bound,
+    s_r_at,
+)
 from ffdigits.checks import (
     CHECKS,
     PINNED_Q17_NO_ZERO,
+    _bound_tables,
     _pointwise_bound_check,
     _Recorder,
     check_corollary1,
@@ -155,6 +163,17 @@ def test_lemma6_counterexample_at_s_equals_p_minus_one():
     assert value > bound
 
 
+def test_lemma2_reads_one_window_table_per_field(monkeypatch):
+    # the points a'/t^n of degree n are the first q^n rows of those of degree
+    # n_max, so each average is l1_average_direct's, bit for bit
+    monkeypatch.setattr(checks, "MAX_WITNESSES", 10**6)
+    result = checks.check_lemma2(qs=(2, 3, 4, 5), n_max=5, tol=-1.0)  # every case a witness
+    assert result.cases == len(result.witnesses) == 5 * (2 + 6 + 14 + 30)
+    for w in result.witnesses:
+        R = RestrictedSet(get_field(*prime_power(w["q"])), frozenset(w["forbidden"]))
+        assert w["lhs"] == l1_average_direct(R, w["n"])
+
+
 def _whole_window_pointwise_check(rec, field, sets, n_max, bound_fn):
     """The pointwise check over every window at once, one (rows x n_max)
     product per set, each row decided by its own product: the oracle of
@@ -208,7 +227,7 @@ def test_pointwise_classes_equal_the_whole_window_pass(q, bound_fn):
         return 0.6 * bound_fn(*args)
 
     recs = [_Recorder(), _Recorder()]
-    _pointwise_bound_check(recs[0], field, sets, 9, scaled)
+    _pointwise_bound_check(recs[0], field, sets, 9, _bound_tables(field, sets, 9, scaled))
     _whole_window_pointwise_check(recs[1], field, sets, 9, scaled)
     assert recs[0].violations and recs[0].violations == recs[1].violations
     new, old = (rec.result("pointwise", {}, 0.0) for rec in recs)
@@ -260,7 +279,7 @@ def test_pointwise_witnesses_reproduce_their_lhs():
     p, n_max = 5, 3
     sets = [frozenset((start + j) % p for j in range(p - 1)) for start in range(p)]
     rec = _Recorder()
-    _pointwise_bound_check(rec, F5, sets, n_max, counted_bound)
+    _pointwise_bound_check(rec, F5, sets, n_max, _bound_tables(F5, sets, n_max, counted_bound))
     assert rec.violations
     assert len(calls) == len(sets) * n_max * 3
     assert {args[3] for args in calls} == {1, 2, 3}

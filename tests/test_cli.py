@@ -227,6 +227,25 @@ def test_verify_refuses_pointwise_passes_before_any_window(capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize(
+    "argv", [("lemma3", "--q", "3", "--n", "1540"), ("lemma6", "--q", "3", "--n", "1540"),
+             ("lemma4", "--q", "3", "--n", "1540")]
+)
+def test_verify_refuses_bounds_past_the_float_range_before_any_window(capsys, monkeypatch, argv):
+    # lemma3's bound 2^1027 at n = 1540, d = 3 over F_3 is an exact int that no
+    # float holds, and no float comparison would decide the points against it:
+    # a usage error before any window, not an OverflowError
+    def banned(*args):
+        raise AssertionError("built Farey windows")
+
+    for module in (checks, circle):  # lemma4 reaches it through circle.farey_windows
+        monkeypatch.setattr(module, "farey_window_blocks", banned)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == EXIT_USAGE
+    assert "passes the float range" in err
+    assert "pass" not in out
+
+
+@pytest.mark.parametrize(
     "argv,what",
     [
         (("lemma3", "--q", "23"), "forbidden sets"),
@@ -241,7 +260,7 @@ def test_verify_refuses_exponential_grids_before_enumerating(capsys, monkeypatch
         raise AssertionError("enumerated a grid past its bound")
 
     monkeypatch.setattr(checks, "combinations", banned)
-    monkeypatch.setattr(checks, "l1_average_direct", banned)
+    monkeypatch.setattr(checks, "digits", banned)  # lemma2 lists its points with it
     code, out, err = run(capsys, "verify", *argv)
     assert code == EXIT_USAGE
     assert what in err and "exceed their bound" in err
@@ -273,12 +292,14 @@ def _fresh_stdout(code: str) -> str:
 
 
 def _fresh_run(argv: list) -> str:
-    """A fresh interpreter's output of `argv` through the CLI, then its loaded package modules."""
+    """A fresh interpreter's output of `argv` through the CLI, then its loaded package
+    modules, then which of `dataclasses` and `fractions` it loaded."""
     return _fresh_stdout(
         "import sys\n"
         "from ffdigits import cli\n"
         f"assert cli.main({argv!r}) == 0\n"
-        "print(','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'ffdigits')))"
+        "print(','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'ffdigits')))\n"
+        "print(','.join(m for m in ('dataclasses', 'fractions') if m in sys.modules) or '-')"
     )
 
 
@@ -300,15 +321,17 @@ def test_count_leaves_the_checks_uncompiled():
     assert _fresh_stdout(code).split() == ["22", "False"]
     # over a prime field and over an extension field, whose modulus comes from
     # the sieve's own list, a count loads the census and nothing it does not run
+    # (and neither `dataclasses` nor `fractions`)
     loaded = "ffdigits,ffdigits.census,ffdigits.cli,ffdigits.field,ffdigits.sieve"
     for argv, count in [
         (["count", "--q", "17", "--forbid", "0", "--n", "5"], "222560"),
         (["count", "--q", "9", "--forbid", "0", "--n", "5"], "7408"),
     ]:
-        assert _fresh_run(argv).split() == [count, loaded]
-    # a scan adds its report's predictor, never the checks
-    scan_loaded = _fresh_run(["scan", "--q", "3", "--forbid", "1", "--n", "2:4"]).split()[-1]
-    assert "ffdigits.checks" not in scan_loaded.split(",")
+        assert _fresh_run(argv).split() == [count, loaded, "-"]
+    # a scan's predictor, main term and error budget are closed forms next to the
+    # census: it loads the same modules
+    scan_run = _fresh_run(["scan", "--q", "3", "--forbid", "1", "--n", "2:4"]).split()
+    assert scan_run[-2:] == [loaded, "-"]
 
 
 def test_package_names_resolve_lazily():

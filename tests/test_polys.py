@@ -237,7 +237,7 @@ def test_sieve_tables_build_bases_in_blocks(monkeypatch):
     # which no budget counts, so they are built a block of irreducibles at a
     # time, and each column step of `_codes` holds a block: at d = 8 the 2^8
     # low rows take 2048 entries per g, so their last columns come as offsets
-    whole = sieve.sieve_tables(F3, 16, (0, 2))
+    whole = sieve.sieve_tables(F3, 16, ((0, 2),) * 16)
     built, steps = [], []
     column = sieve._column
 
@@ -253,7 +253,7 @@ def test_sieve_tables_build_bases_in_blocks(monkeypatch):
     monkeypatch.setattr(sieve, "_BLOCK", 1000)
     monkeypatch.setattr(sieve, "remainder_bases", recording)
     monkeypatch.setattr(sieve, "_column", recording_column)
-    blocked = sieve.sieve_tables(F3, 16, (0, 2))
+    blocked = sieve.sieve_tables(F3, 16, ((0, 2),) * 16)
     assert max(built) <= 1000
     assert steps and max(steps) <= 1000
     for stages, stages_b in zip(whole[1:], blocked[1:], strict=True):
@@ -392,7 +392,7 @@ def test_monic_code_is_one_order(field, fresh_product_lists):
             assert (np.diff(rows @ q ** np.arange(d)) > 0).all()
     # with a restricted set, the j-th monic is the census's candidate j
     allowed, n = (0, q - 1), 4
-    tables = sieve.sieve_tables(field, n, allowed)
+    tables = sieve.sieve_tables(field, n, (allowed,) * n)
     candidates = list(enumerate_monic(field, n, allowed))
     for j, f in enumerate(candidates):
         assert f.coeffs == tuple(allowed[c] for c in digits(j, 2, n)) + (1,)

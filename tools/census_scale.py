@@ -9,8 +9,8 @@ Run from the root of a checkout; the package is imported from ./src.  The peak
 RSS is the child's ru_maxrss from wait4, in MiB like perfbench's peak_rss_mb,
 and minor_faults its ru_minflt, the pages it faulted in without reading a file.
 Prints one JSON line per shape: its label, its worker count, the count it
-printed, wall_s, peak_rss_mb and minor_faults.  The shapes need about 2 s to
-40 s and 45 to 400 MB each.
+printed, wall_s, peak_rss_mb and minor_faults.  The shapes need about 0.3 s to
+25 s and 40 to 400 MB each.
 """
 
 from __future__ import annotations
@@ -27,7 +27,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # (label, workers, count arguments); q=3 n=22 needs twice the default budget,
 # q=2 R={} n=24 marks every degree through inverted tables of 4096 low rows, and
 # q=31 R={0} n=5 is a shape where the circle method's error budget is below 1
-# (q >= 29), near the default budget's limit, and marked at both degrees
+# (q >= 29), near the default budget's limit, and marked at both degrees;
+# q=101 R={0} n=4, deeper in that regime, needs twice the default budget for
+# its 1.04e8 table entries (counted over all 100^4 candidates, though the orbit
+# census sieves the 100^3 with c_3 = 1)
 SHAPES = [
     ("q=17 R={0} n=6", 1, ["--q", "17", "--forbid", "0", "--n", "6"]),
     ("q=17 R={0} n=6", 2, ["--q", "17", "--forbid", "0", "--n", "6"]),
@@ -35,6 +38,7 @@ SHAPES = [
     ("q=3 R={0} n=22 budget 2e8", 1, ["--q", "3", "--forbid", "0", "--n", "22", "--budget", "200000000"]),
     ("q=2 R={} n=24", 1, ["--q", "2", "--n", "24"]),
     ("q=31 R={0} n=5", 1, ["--q", "31", "--forbid", "0", "--n", "5"]),
+    ("q=101 R={0} n=4 budget 2e8", 1, ["--q", "101", "--forbid", "0", "--n", "4", "--budget", "200000000"]),
 ]
 
 
